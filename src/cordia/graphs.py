@@ -306,6 +306,8 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     representatives come back sorted by canonical key.  Levels above half the
     edge slots are enumerated through their complements.
     """
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MAX_ENUMERATION_VERTICES:
         raise BudgetError(f"enumeration is capped at n={MAX_ENUMERATION_VERTICES}, got {n}")
     slots = edge_slots(n)

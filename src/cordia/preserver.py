@@ -7,7 +7,27 @@ of a graph class means membership of G and of apply(op, G) agree for every
 graph, equivalently the operator preserves the class and its complement.
 
 Verification works against precomputed membership tables over all 2^C(n,2)
-graphs, which is why the strong-preservation scans stop at n = 6.
+graphs, which is why the strong-preservation checks stop at n = 6.  A table
+is the truth table of a Boolean function of the C(n,2) edge variables, and
+an edge bijection permutes those variables.  The exact paths share one
+kernel built on that view:
+
+- ``strongly_preserves`` applies a bijection's variable permutation to the
+  whole table with one delta swap per transposition (Knuth, TAOCP 4A,
+  7.1.3); the lowest set bit of ``table ^ permuted`` is the least graph, in
+  ascending edge-bitset order, whose membership the operator changes.
+  Operators that are not edge bijections get the full graph-by-graph scan,
+  which finds the same least counterexample.
+- Exhaustive search assigns the images of slots 0, 1, ... in order, trying
+  targets in ascending order, and checks each graph as soon as its highest
+  slot has an image, so survivors come out in lexicographic order and a
+  partial map is dropped at the first graph it changes.
+- Exact vertex-only search runs every vertex map through the table check.
+
+Sample mode keeps its own scan: it checks graphs in ``_scan_pairs`` order
+(mixed-membership edge-count levels first, non-members leading) and records
+the first mismatch in that order, since nearly every sampled bijection fails
+on the first graph it scans.
 """
 
 from __future__ import annotations
@@ -94,20 +114,29 @@ def vertex_permutation_operator(perm: tuple[int, ...]) -> LinearOperator:
     return LinearOperator(n, images)
 
 
-def is_vertex_permutation(op: LinearOperator) -> tuple[int, ...] | None:
-    """The inducing vertex permutation, or None.
-
-    Every image must be a single edge, and the common endpoint of each
-    vertex's star images pins the permutation, which is then verified slot
-    by slot.
-    """
-    n = op.n
-    pt = pair_table(n)
-    targets = []
+def _edge_bijection(op: LinearOperator) -> tuple[int, ...] | None:
+    """The slot permutation op induces when its images are distinct single edges."""
+    pi = []
     for im in op.images:
         if im.edge_count != 1:
             return None
-        targets.append(pt[im.edges.bit_length() - 1])
+        pi.append(im.edges.bit_length() - 1)
+    return tuple(pi) if len(set(pi)) == len(pi) else None
+
+
+def is_vertex_permutation(op: LinearOperator) -> tuple[int, ...] | None:
+    """The inducing vertex permutation, or None.
+
+    The images must be distinct single edges, and the common endpoint of each
+    vertex's star images pins the permutation, which is then verified slot
+    by slot.
+    """
+    pi = _edge_bijection(op)
+    if pi is None:
+        return None
+    n = op.n
+    pt = pair_table(n)
+    targets = [pt[k] for k in pi]
     if n == 1:
         return (0,)
     if n == 2:
@@ -191,6 +220,8 @@ def idempotent_power(op: LinearOperator) -> tuple[LinearOperator, int]:
 @lru_cache(maxsize=None)
 def membership_bitmap(n: int, prop: GraphProperty) -> int:
     """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MEMBERSHIP_VERTEX_LIMIT:
         raise BudgetError(f"membership tables are kept only up to n={MEMBERSHIP_VERTEX_LIMIT}")
     slots = edge_slots(n)
@@ -206,12 +237,65 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     return bitmap
 
 
+@lru_cache(maxsize=None)
+def _swap_mask(slots: int, i: int, j: int) -> int:
+    """Truth-table positions g < 2^slots with bit i of g set and bit j clear."""
+    full = (1 << (1 << slots)) - 1
+
+    def ones(k: int) -> int:
+        # Blocks of 2^k clear then 2^k set positions: exactly bit k of g set.
+        width = 1 << k
+        return full // ((1 << width) + 1) << width
+
+    return ones(i) & ~ones(j)
+
+
+def _permute_table(table: int, pi: tuple[int, ...]) -> int:
+    """The truth table g -> table[pi(g)], where pi(g) moves bit k of g to bit pi[k].
+
+    pi is split as t_1 o t_2 o ... o t_r, each t a transposition (k v) with
+    k < v, and t_1 is applied to the table first; swapping variables k and v
+    is one delta swap over the positions with bit k set and bit v clear.
+    """
+    slots = len(pi)
+    cur = list(pi)
+    where = [0] * slots
+    for x, v in enumerate(cur):
+        where[v] = x
+    for k in range(slots):
+        v = cur[k]
+        if v == k:
+            continue
+        delta = (1 << v) - (1 << k)
+        x = ((table >> delta) ^ table) & _swap_mask(slots, k, v)
+        table ^= x | (x << delta)
+        # cur becomes (k v) o cur, which fixes 0..k.
+        y = where[k]
+        cur[y], where[v] = v, y
+        cur[k], where[k] = k, k
+    return table
+
+
+def _table_counterexample(bm: int, pi: tuple[int, ...]) -> int | None:
+    """Least graph g whose membership differs from its image's under the edge
+    bijection pi, or None."""
+    diff = bm ^ _permute_table(bm, pi)
+    return (diff & -diff).bit_length() - 1 if diff else None
+
+
 def strongly_preserves(op: LinearOperator, prop: GraphProperty) -> PreserverVerdict:
-    """Full scan over all graphs; the counterexample, if any, is the first
-    membership mismatch in ascending edge-bitset order."""
+    """Exact check over all graphs; the counterexample, if any, is the least
+    membership mismatch in ascending edge-bitset order.
+
+    Edge bijections go through the truth-table kernel; every other operator
+    is scanned graph by graph."""
     if op.n > MEMBERSHIP_VERTEX_LIMIT:
         raise BudgetError(f"strong preservation scan is capped at n={MEMBERSHIP_VERTEX_LIMIT}")
     bm = membership_bitmap(op.n, prop)
+    pi = _edge_bijection(op)
+    if pi is not None:
+        g = _table_counterexample(bm, pi)
+        return PreserverVerdict(g is None, None if g is None else Graph(op.n, g))
     images_bits = [im.edges for im in op.images]
     for g in range(1 << edge_slots(op.n)):
         img = _apply_bits(images_bits, g)
@@ -277,30 +361,79 @@ def _operator_from_edge_map(n: int, pi: tuple[int, ...]) -> LinearOperator:
     return LinearOperator(n, tuple(Graph(n, 1 << pi[k]) for k in range(edge_slots(n))))
 
 
+def _too_many_survivors(n: int) -> BudgetError:
+    return BudgetError(
+        f"more than {SURVIVOR_BUDGET} strong preservers at n={n}; "
+        "the class is too permissive for an exhaustive report"
+    )
+
+
+def _edge_count_determined(bm: int, slots: int) -> bool:
+    """True when membership is constant on every edge-count level."""
+    level: dict[int, int] = {}
+    for g in range(1 << slots):
+        if level.setdefault(g.bit_count(), bm >> g & 1) != bm >> g & 1:
+            return False
+    return True
+
+
+def _pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
+    """Every edge bijection that strongly preserves bm, the membership table at
+    n, in lexicographic order.
+
+    Slots 0, 1, ... get their images in order, targets tried in ascending
+    order.  Once slot j-1 has one, every graph whose highest slot is j-1 is
+    fully mapped; its image is extended from the image of the graph without
+    that slot and its membership compared.  A leaf is therefore a verified
+    bijection, and a partial map dies at the first graph it changes.
+    """
+    slots = edge_slots(n)
+    member = [bm >> g & 1 for g in range(1 << slots)]
+    image = [0] * (1 << slots)
+    used = [False] * slots
+    pi: list[int] = []
+    passing: list[tuple[int, ...]] = []
+
+    def extend(j: int) -> None:
+        if j == slots:
+            passing.append(tuple(pi))
+            if len(passing) > SURVIVOR_BUDGET:
+                raise _too_many_survivors(n)
+            return
+        top = 1 << j
+        for t in range(slots):
+            if used[t]:
+                continue
+            bit = 1 << t
+            for g in range(top):
+                img = image[g] | bit
+                if member[img] != member[top | g]:
+                    break
+                image[top | g] = img
+            else:
+                used[t] = True
+                pi.append(t)
+                extend(j + 1)
+                pi.pop()
+                used[t] = False
+
+    extend(0)
+    return passing
+
+
 def _search_exhaustive(n: int, prop: GraphProperty) -> SearchReport:
     slots = edge_slots(n)
     total = factorial(slots)
     if total > EXHAUSTIVE_BIJECTION_BUDGET:
         raise BudgetError(f"{total} edge bijections at n={n}; exhaustive mode stops at n=5")
-    pairs = _scan_pairs(n, prop)
     bm = membership_bitmap(n, prop)
-    passing = []
-    for pi in permutations(range(slots)):
-        for g, ks in pairs:
-            img = 0
-            for k in ks:
-                img |= 1 << pi[k]
-            if (bm >> g ^ bm >> img) & 1:
-                break
-        else:
-            passing.append(pi)
-            if len(passing) > SURVIVOR_BUDGET:
-                # Happens when membership is edge-count determined and every
-                # bijection passes vacuously; the result would not fit.
-                raise BudgetError(
-                    f"more than {SURVIVOR_BUDGET} strong preservers at n={n}; "
-                    "the class is too permissive for an exhaustive report"
-                )
+    if _edge_count_determined(bm, slots):
+        # A bijection keeps edge counts, so every one of them survives.
+        if total > SURVIVOR_BUDGET:
+            raise _too_many_survivors(n)
+        passing = list(permutations(range(slots)))
+    else:
+        passing = _pruned_bijections(n, bm)
     ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
     return SearchReport(n, prop, "exhaustive", total, ops)
 
@@ -361,11 +494,10 @@ def _search_vertex_only(n: int, prop: GraphProperty, count: int, seed: int) -> S
     total = len(maps)
     failures = []
     if n <= MEMBERSHIP_VERTEX_LIMIT:
-        pairs = _scan_pairs(n, prop)
         bm = membership_bitmap(n, prop)
         passing = []
-        for sigma, pi in maps.items():
-            cex = _bijection_counterexample(pi, pairs, bm)
+        for pi in maps.values():
+            cex = _table_counterexample(bm, pi)
             if cex is None:
                 passing.append(pi)
             else:
@@ -407,20 +539,36 @@ def search_strong_preservers(
 ) -> SearchReport:
     """Hunt for strong preservers of a labeling property.
 
-    Modes: "exhaustive" walks every edge bijection (n <= 5); "vertex-only"
-    verifies all n! vertex permutations (exact tables to n = 6, seeded graph
-    spot checks for n = 7, 8); "sample" draws `count` seeded random edge
-    bijections, discards the vertex-induced ones, and records a membership
-    counterexample for every failure.
+    Modes:
+
+    - "exhaustive" (n <= 5) settles all C(n,2)! edge bijections, reported as
+      candidates_checked, by a prefix-pruned search; survivors come back in
+      lexicographic order of their slot maps.  When membership depends only
+      on the edge count every bijection survives, so the answer is all of
+      them, or a BudgetError at once if they exceed SURVIVOR_BUDGET.
+    - "vertex-only" verifies all n! vertex permutations: exactly against the
+      membership table up to n = 6, by seeded graph spot checks (`count`
+      graphs, 32 when count is 0 or None) for n = 7, 8.
+    - "sample" draws `count` seeded random edge bijections, discards the
+      vertex-induced ones, and records for every failure the first mismatch
+      in the scan order of ``_scan_pairs``, which need not be the least one.
+
+    n < 0, workers < 1 and a negative count are usage errors (ValueError).
     """
-    if mode == "exhaustive":
-        return _search_exhaustive(n, prop)
-    if mode == "vertex-only":
-        return _search_vertex_only(n, prop, count or 0, seed)
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if mode == "sample":
         if count is None:
             raise ValueError("sample mode needs a count")
         return _search_sampled(n, prop, count, seed, workers)
+    if count is not None and count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    if mode == "exhaustive":
+        return _search_exhaustive(n, prop)
+    if mode == "vertex-only":
+        return _search_vertex_only(n, prop, count or 0, seed)
     raise ValueError(f"unknown search mode {mode!r}")
 
 

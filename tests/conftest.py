@@ -1,13 +1,17 @@
 """Shared brute-force oracles, deliberately written against the naive
 definitions (explicit labelings, explicit orientation walks, explicit
-permutation scans) rather than the package's bitset machinery."""
+permutation scans) rather than the package's bitset machinery.
+
+The two preserver oracles are the graph-by-graph paths the truth-table
+kernel replaced; they read membership from ``membership_bitmap``, which has
+its own tests against per-graph decisions."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import factorial
 
-from cordia import Graph
+from cordia import Graph, edge_slots, membership_bitmap
 
 
 def support_vertices(g: Graph) -> list[int]:
@@ -91,3 +95,45 @@ def burnside_graph_count(n: int) -> int:
                     cur = image[cur]
         total += 1 << cycles
     return total // factorial(n)
+
+
+def oracle_strongly_preserves(op, prop) -> int | None:
+    """Least graph (as an edge bitset) whose membership op changes, or None:
+    every graph in ascending order, its image the union of its edges' images."""
+    bm = membership_bitmap(op.n, prop)
+    images = [im.edges for im in op.images]
+    for g in range(1 << edge_slots(op.n)):
+        img = 0
+        for k in range(len(images)):
+            if g >> k & 1:
+                img |= images[k]
+        if (bm >> g ^ bm >> img) & 1:
+            return g
+    return None
+
+
+def oracle_exhaustive_survivors(n: int, prop) -> list[tuple[int, ...]]:
+    """Every slot bijection, in lexicographic order, that keeps membership of
+    every graph.  Each bijection is scanned over all nonempty graphs; edge-count
+    levels of mixed membership go first, non-members leading, only so that
+    failing bijections are dropped early."""
+    bm = membership_bitmap(n, prop)
+    slots = edge_slots(n)
+    levels: dict[int, tuple[list[int], list[int]]] = {}
+    for g in range(1, 1 << slots):
+        levels.setdefault(g.bit_count(), ([], []))[bm >> g & 1].append(g)
+    mixed = [lv for _, lv in sorted(levels.items()) if lv[0] and lv[1]]
+    uniform = [lv for _, lv in sorted(levels.items()) if not (lv[0] and lv[1])]
+    order = [g for non, mem in mixed + uniform for g in non + mem]
+    pairs = [(g, [k for k in range(slots) if g >> k & 1]) for g in order]
+    passing = []
+    for pi in permutations(range(slots)):
+        for g, ks in pairs:
+            img = 0
+            for k in ks:
+                img |= 1 << pi[k]
+            if (bm >> g ^ bm >> img) & 1:
+                break
+        else:
+            passing.append(pi)
+    return passing

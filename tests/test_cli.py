@@ -191,6 +191,12 @@ def test_enumerate_over_budget(capsys):
     assert payload["error"]["kind"] == "budget"
 
 
+def test_enumerate_negative_n_is_a_usage_error(capsys):
+    code, payload = invoke(capsys, "enumerate", "--n", "-2", "--edges", "1")
+    assert code == 2
+    assert payload["error"]["kind"] == "usage"
+
+
 # ------------------------------------------------------------------ preservers
 
 def test_preservers_exhaustive_summary(capsys):
@@ -230,6 +236,27 @@ def test_preservers_vertex_only(capsys):
     assert result["candidates_checked"] == 120
     assert result["operators_materialized"] == 120
     assert result["all_survivors_vertex_induced"] is True
+
+
+def assert_usage_error(capsys, *argv):
+    code, payload = invoke(capsys, "preservers", "--property", "sum", *argv)
+    assert code == 2
+    assert payload["error"]["kind"] == "usage"
+    assert "result" not in payload
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "vertex-only", "sample"])
+def test_preservers_negative_n_is_a_usage_error(capsys, mode):
+    assert_usage_error(capsys, "--n", "-2", "--mode", mode)
+
+
+def test_preservers_nonpositive_workers_is_a_usage_error(capsys):
+    assert_usage_error(capsys, "--n", "4", "--mode", "sample", "--count", "10", "--workers", "-3")
+    assert_usage_error(capsys, "--n", "4", "--mode", "sample", "--count", "10", "--workers", "0")
+
+
+def test_preservers_negative_count_is_a_usage_error(capsys):
+    assert_usage_error(capsys, "--n", "7", "--mode", "vertex-only", "--count", "-5")
 
 
 # -------------------------------------------------------------- operator-check

@@ -1,6 +1,7 @@
 """Linear operators on edge sets and the strong-preserver searches."""
 
 from itertools import permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -36,8 +37,9 @@ from cordia import (
     union,
     vertex_permutation_operator,
 )
+from conftest import oracle_exhaustive_survivors, oracle_strongly_preserves
 from cordia.graphs import pair_table
-from cordia.preserver import _operator_from_edge_map
+from cordia.preserver import _operator_from_edge_map, _pruned_bijections, _vertex_edge_maps
 
 
 def random_operator(n, rng):
@@ -207,6 +209,11 @@ def test_membership_bitmap_capped():
         membership_bitmap(7, GraphProperty.SUM)
 
 
+def test_membership_bitmap_rejects_negative_n():
+    with pytest.raises(ValueError):
+        membership_bitmap(-2, GraphProperty.SUM)
+
+
 # ---------------------------------------------------------- strong preservation
 
 def test_collapse_operator_fails_sum_with_reverifiable_counterexample():
@@ -289,6 +296,10 @@ def test_exhaustive_product_at_five_vertices_is_exactly_vertex_maps():
 def test_exhaustive_mode_budgets():
     with pytest.raises(BudgetError):
         search_strong_preservers(6, GraphProperty.SUM, "exhaustive")
+    # Orientability at n=5 depends only on the edge count, so all 10! bijections
+    # would survive; the search refuses before walking any of them.
+    with pytest.raises(BudgetError, match="too permissive"):
+        search_strong_preservers(5, GraphProperty.ORIENT23, "exhaustive")
 
 
 def test_survivor_budget_guards_permissive_classes(monkeypatch):
@@ -297,6 +308,66 @@ def test_survivor_budget_guards_permissive_classes(monkeypatch):
     monkeypatch.setattr(preserver_module, "SURVIVOR_BUDGET", 10)
     with pytest.raises(BudgetError):
         search_strong_preservers(4, GraphProperty.ORIENT23, "exhaustive")
+
+
+def survivor_maps(report):
+    return [tuple(im.edges.bit_length() - 1 for im in op.images) for op in report.operators]
+
+
+ORACLE_SEARCHES = [(n, prop) for n in (3, 4) for prop in GraphProperty] + [(5, GraphProperty.PRODUCT)]
+
+
+@pytest.mark.parametrize("n, prop", ORACLE_SEARCHES, ids=lambda v: getattr(v, "value", v))
+def test_exhaustive_search_matches_permutation_walk_oracle(n, prop):
+    """Same survivors in the same order as walking every bijection; the pruned
+    search itself is also run on the edge-count determined tables, which the
+    search answers without it."""
+    want = oracle_exhaustive_survivors(n, prop)
+    report = search_strong_preservers(n, prop, "exhaustive")
+    assert report.candidates_checked == factorial(edge_slots(n))
+    assert survivor_maps(report) == want
+    assert _pruned_bijections(n, membership_bitmap(n, prop)) == want
+
+
+def assert_matches_scan_oracle(op, prop):
+    verdict = strongly_preserves(op, prop)
+    want = oracle_strongly_preserves(op, prop)
+    assert verdict.strongly_preserves == (want is None)
+    got = verdict.counterexample
+    assert (None if got is None else got.edges) == want
+
+
+STRONG_ORACLE_DRAWS = {4: 120, 5: 40, 6: 8}
+
+
+@pytest.mark.parametrize("n", sorted(STRONG_ORACLE_DRAWS))
+def test_strongly_preserves_matches_full_scan_oracle(n):
+    """The least counterexample, on seeded bijections, vertex maps, the
+    collapse operator and seeded random (mostly non-bijective) operators."""
+    rng = Random(f"strong:{n}")
+    slots = edge_slots(n)
+    vertex_maps = sorted(_vertex_edge_maps(n).values())
+    for prop in GraphProperty:
+        maps = [tuple(rng.sample(range(slots), slots)) for _ in range(STRONG_ORACLE_DRAWS[n])]
+        maps += rng.sample(vertex_maps, 4)
+        # bijections one transposition away from a vertex map
+        for pi in rng.sample(vertex_maps, 4):
+            a, b = rng.sample(range(slots), 2)
+            pi = list(pi)
+            pi[a], pi[b] = pi[b], pi[a]
+            maps.append(tuple(pi))
+        for pi in maps:
+            assert_matches_scan_oracle(_operator_from_edge_map(n, pi), prop)
+        assert_matches_scan_oracle(collapse_operator(n), prop)
+        assert_matches_scan_oracle(collapse_operator(n, slots - 1), prop)
+        for _ in range(3):
+            assert_matches_scan_oracle(random_operator(n, rng), prop)
+
+
+def test_strongly_preserves_matches_oracle_on_every_bijection_at_four():
+    for prop in GraphProperty:
+        for pi in permutations(range(6)):
+            assert_matches_scan_oracle(_operator_from_edge_map(4, pi), prop)
 
 
 # ------------------------------------------------------------------- sampling
