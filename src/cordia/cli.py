@@ -148,7 +148,11 @@ def _cmd_preservers(args) -> tuple[dict, dict, int]:
     survivors_vertex = sum(
         1 for op in report.operators if is_vertex_permutation(op) is not None
     )
-    passed = report.candidates_checked - report.discarded_vertex_induced - len(report.failures)
+    if report.mode == "exhaustive":
+        # Exhaustive searches record no failures; every survivor is materialized.
+        passed = len(report.operators)
+    else:
+        passed = report.candidates_checked - report.discarded_vertex_induced - len(report.failures)
     result = {
         "all_survivors_vertex_induced": survivors_vertex == len(report.operators),
         "candidates_checked": report.candidates_checked,

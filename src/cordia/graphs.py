@@ -3,8 +3,9 @@
 A graph stores its edge set as a single Python integer: bit k stands for the
 k-th unordered pair (i, j) with i < j, pairs taken in lexicographic order.
 That keeps union, complement and membership at machine speed and makes every
-value hashable and immutable.  Canonical forms are computed by brute force
-over vertex permutations of the non-isolated vertices, so they are only
+value hashable and immutable.  The canonical form of a graph is its least
+edge bitset over all orderings of its non-isolated vertices, found by a
+row-by-row search that keeps only the least partial orderings; it is
 available while that support is small (at most 10 vertices).
 """
 
@@ -12,11 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from .errors import BudgetError, UnknownTagError
 
@@ -24,13 +22,11 @@ MAX_VERTICES = 16
 MAX_CANONICAL_SUPPORT = 10
 MAX_ENUMERATION_VERTICES = 9
 
-# Largest number of edge subsets a single enumeration or search level may
-# visit.  Enough for every supported desk-scale call; anything bigger fails
-# loudly instead of running for hours.
+# Largest number of edge subsets (counted through the complement above half
+# the slots) a single enumeration or search level may hold.  The subset walk
+# of empirical_max_edges visits them all; enumeration refuses the same
+# levels.  Anything bigger fails loudly instead of running for hours.
 SUBSET_BUDGET = 600_000
-
-_PERM_TABLE_CACHE_LIMIT = 9
-_PERM_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -214,46 +210,36 @@ class CanonicalKey(NamedTuple):
     bits: int
 
 
-def _build_perm_maps(perms: np.ndarray, k: int) -> np.ndarray:
-    """Edge-slot images, one row per vertex permutation of k vertices."""
-    table = np.empty((perms.shape[0], edge_slots(k)), dtype=np.int8)
-    for e, (i, j) in enumerate(pair_table(k)):
-        a = perms[:, i].astype(np.int16)
-        b = perms[:, j].astype(np.int16)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        table[:, e] = (lo * (2 * k - lo - 1) // 2 + (hi - lo - 1)).astype(np.int8)
-    return table
+def _least_bits(adj: list[int]) -> int:
+    """Least edge bitset over all orderings of the vertices 0..k-1, where
+    adj[v] is the neighbour mask of v.
 
-
-@lru_cache(maxsize=None)
-def _perm_maps(k: int) -> np.ndarray:
-    perms = np.array(list(permutations(range(k))), dtype=np.int8)
-    return _build_perm_maps(perms, k)
-
-
-def _extreme_bits(edge_idx: tuple[int, ...], k: int, maximize: bool) -> int:
-    """Min (or max) edge bitset over all vertex permutations of k vertices."""
-    if not edge_idx:
-        return 0
-    idx = list(edge_idx)
-    if k <= _PERM_TABLE_CACHE_LIMIT:
-        t = _perm_maps(k)[:, idx].astype(np.int64)
-        vals = (np.int64(1) << t).sum(axis=1)
-        return int(vals.max() if maximize else vals.min())
-    best = None
-    stream = permutations(range(k))
-    while True:
-        chunk = list(islice(stream, _PERM_CHUNK))
-        if not chunk:
-            break
-        t = _build_perm_maps(np.array(chunk, dtype=np.int8), k)[:, idx].astype(np.int64)
-        vals = (np.int64(1) << t).sum(axis=1)
-        v = int(vals.max() if maximize else vals.min())
-        if best is None or (v > best if maximize else v < best):
-            best = v
-    assert best is not None
-    return best
+    Positions are filled from k-1 downward.  The vertex placed at position p
+    fixes row p, the slots (p, j) with j > p, as its pattern of neighbours
+    among the placed positions; row p outranks every lower row, so only the
+    placements whose rows so far are least can lead to the minimum.  A state
+    maps each unplaced vertex to its pattern (placed vertices hold -1): two
+    placements with equal states have the same completions, so each is kept
+    once.
+    """
+    k = len(adj)
+    bits = 0
+    states = {(0,) * k}
+    for p in range(k - 1, -1, -1):
+        best = min(r for pats in states for r in pats if r >= 0)
+        bit = 1 << p
+        nxt = set()
+        for pats in states:
+            for u, r in enumerate(pats):
+                if r == best:
+                    nu = adj[u]
+                    nxt.add(tuple(
+                        -1 if w == u else (q | bit if q >= 0 and nu >> w & 1 else q)
+                        for w, q in enumerate(pats)
+                    ))
+        states = nxt
+        bits |= (best >> (p + 1)) << (p * (2 * k - p - 1) // 2)
+    return bits
 
 
 def _canonical_key_bits(n: int, bits: int) -> CanonicalKey:
@@ -272,17 +258,12 @@ def _canonical_key_bits(n: int, bits: int) -> CanonicalKey:
             f"limit is {MAX_CANONICAL_SUPPORT}"
         )
     rank = {v: r for r, v in enumerate(verts)}
-    es = [edge_index(ks, rank[pt[k][0]], rank[pt[k][1]]) for k in iter_bits(bits)]
-    m = len(es)
-    slots = edge_slots(ks)
-    if 2 * m > slots:
-        # Dense side: minimizing over the graph equals maximizing over its
-        # complement on the same support, which scans fewer set bits.
-        comp = tuple(sorted(set(range(slots)) - set(es)))
-        min_bits = ((1 << slots) - 1) ^ _extreme_bits(comp, ks, maximize=True)
-    else:
-        min_bits = _extreme_bits(tuple(es), ks, maximize=False)
-    return CanonicalKey(ks, m, min_bits)
+    adj = [0] * ks
+    for k in iter_bits(bits):
+        i, j = pt[k]
+        adj[rank[i]] |= 1 << rank[j]
+        adj[rank[j]] |= 1 << rank[i]
+    return CanonicalKey(ks, bits.bit_count(), _least_bits(adj))
 
 
 def canonical_form(g: Graph) -> CanonicalKey:
@@ -303,8 +284,9 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class with m edges on at most n vertices.
 
     Classes are counted up to isomorphism after dropping isolated vertices, and
-    representatives come back sorted by canonical key.  Levels above half the
-    edge slots are enumerated through their complements.
+    representatives come back sorted by canonical key.  Level m is built by
+    adding each absent edge to each representative of level m - 1; a level
+    above half the edge slots is the complements of level C(n, 2) - m.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -316,16 +298,18 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     mm = min(m, slots - m)
     if comb(slots, mm) > SUBSET_BUDGET:
         raise BudgetError(f"level (n={n}, m={m}) has {comb(slots, mm)} subsets; budget is {SUBSET_BUDGET}")
-    full = (1 << slots) - 1
-    flip = mm != m
-    keys = set()
-    for combo in combinations(range(slots), mm):
-        bits = 0
-        for k in combo:
-            bits |= 1 << k
-        if flip:
-            bits ^= full
-        keys.add(_canonical_key_bits(n, bits))
+    if m == 0:
+        keys = {CanonicalKey(0, 0, 0)}
+    elif mm != m:
+        full = (1 << slots) - 1
+        keys = {_canonical_key_bits(n, full ^ g.edges) for g in enumerate_graphs(n, mm)}
+    else:
+        keys = {
+            _canonical_key_bits(n, g.edges | 1 << k)
+            for g in enumerate_graphs(n, m - 1)
+            for k in range(slots)
+            if not g.edges >> k & 1
+        }
     return tuple(canonical_representative(key, n) for key in sorted(keys))
 
 

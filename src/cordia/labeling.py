@@ -170,9 +170,11 @@ def orientation_feasible(same_count: int, cross_count: int) -> tuple[int, int] |
     return None
 
 
-@lru_cache(maxsize=None)
-def _split_ok(s: int, d: int) -> bool:
-    return orientation_feasible(s, d) is not None
+def _split_feasible(s: int, d: int) -> bool:
+    """Closed form of orientation_feasible(s, d) is not None: d cross edges
+    split into d_plus and d_minus within one of each other and of the s
+    same-label edges exactly when (d + 1) // 2 - 1 <= s <= d // 2 + 1."""
+    return (d + 1) // 2 - 1 <= s <= d // 2 + 1
 
 
 @lru_cache(maxsize=None)
@@ -199,8 +201,7 @@ def _decide_bits(n: int, bits: int, prop: GraphProperty, support: int | None = N
         return False
     for cross, _ in table:
         d = (bits & cross).bit_count()
-        # feasible split of d into d+ and d- around s = m - d
-        if (d + 1) // 2 - 1 <= m - d <= d // 2 + 1:
+        if _split_feasible(m - d, d):
             return True
     return False
 
@@ -282,7 +283,7 @@ def check_23_orientable(g: Graph, ambient_friendly: bool = False) -> Verdict:
 
     def feasible(lab: int) -> bool:
         d = (g.edges & _edge_masks(g.n, lab)[0]).bit_count()
-        return _split_ok(m - d, d)
+        return _split_feasible(m - d, d)
 
     best, examined = _scan_feasible(g, feasible, mask)
     if best is None:

@@ -4,14 +4,18 @@ permutation scans) rather than the package's bitset machinery.
 
 The two preserver oracles are the graph-by-graph paths the truth-table
 kernel replaced; they read membership from ``membership_bitmap``, which has
-its own tests against per-graph decisions."""
+its own tests against per-graph decisions.  The canonical-key oracle is the
+permutation minimum the least-bitset search replaced, and the enumeration
+oracle is the subset walk that level-by-level extension replaced; it takes
+its keys from ``_canonical_key_bits``, which is tested against the former."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import factorial
 
-from cordia import Graph, edge_slots, membership_bitmap
+from cordia import CanonicalKey, Graph, edge_slots, membership_bitmap
+from cordia.graphs import _canonical_key_bits
 
 
 def support_vertices(g: Graph) -> list[int]:
@@ -74,6 +78,33 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
         if {tuple(sorted((perm[i], perm[j]))) for i, j in ea} == eb:
             return True
     return False
+
+
+def oracle_canonical_bits(g: Graph) -> int:
+    """Least edge bitset over every permutation of g's non-isolated vertices,
+    slots numbered in lexicographic pair order on the support alone."""
+    sup = support_vertices(g)
+    rank = {v: r for r, v in enumerate(sup)}
+    slot = {p: k for k, p in enumerate(combinations(range(len(sup)), 2))}
+    edges = [(rank[i], rank[j]) for i, j in g.edge_list()]
+    best = None
+    for perm in permutations(range(len(sup))):
+        bits = 0
+        for i, j in edges:
+            a, b = perm[i], perm[j]
+            bits |= 1 << slot[(a, b) if a < b else (b, a)]
+        if best is None or bits < best:
+            best = bits
+    return best
+
+
+def oracle_enumerate_keys(n: int, m: int) -> list[CanonicalKey]:
+    """Sorted canonical keys of every labeled graph with m edges on n
+    vertices, walked subset by subset."""
+    keys = set()
+    for combo in combinations(range(edge_slots(n)), m):
+        keys.add(_canonical_key_bits(n, sum(1 << k for k in combo)))
+    return sorted(keys)
 
 
 def burnside_graph_count(n: int) -> int:

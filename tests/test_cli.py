@@ -211,6 +211,20 @@ def test_preservers_exhaustive_summary(capsys):
     assert result["all_survivors_vertex_induced"] is False
 
 
+@pytest.mark.parametrize("prop, survivors", [("sum", 48), ("orient23", 720)])
+def test_preservers_exhaustive_candidates_passed_counts_survivors(capsys, prop, survivors):
+    # orient23 membership at n=4 depends only on the edge count, so all 720
+    # bijections survive; sum keeps the 48 that permute the perfect matchings.
+    code, payload = invoke(
+        capsys, "preservers", "--property", prop, "--n", "4", "--mode", "exhaustive"
+    )
+    assert code == 0
+    result = payload["result"]
+    assert result["candidates_checked"] == 720
+    assert result["candidates_passed"] == survivors
+    assert result["operators_materialized"] == survivors
+
+
 def test_preservers_sample_deterministic(capsys):
     args = (
         "preservers", "--property", "sum", "--n", "4",

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+
+import cordia
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +34,12 @@ from cordia import (
 )
 from cordia.graphs import incident_masks, iter_bits, pair_table
 
-from conftest import brute_isomorphic, burnside_graph_count
+from conftest import (
+    brute_isomorphic,
+    burnside_graph_count,
+    oracle_canonical_bits,
+    oracle_enumerate_keys,
+)
 
 graphs_st = st.integers(2, 7).flatmap(
     lambda n: st.builds(Graph, st.just(n), st.integers(0, (1 << edge_slots(n)) - 1))
@@ -118,8 +129,44 @@ def test_canonical_representative_reproduces_key(g):
     assert rep.edge_count == g.edge_count
 
 
+def test_canonical_key_is_least_bitset_on_every_small_graph():
+    for n in range(1, 6):
+        for bits in range(1 << edge_slots(n)):
+            g = Graph(n, bits)
+            assert canonical_form(g).bits == oracle_canonical_bits(g)
+
+
+def _seeded_graphs_on_support(k: int, density: float, count: int, seed: int):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = Graph(k, sum(1 << s for s in range(edge_slots(k)) if rng.random() < density))
+        if g.support_size() == k:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("support, count", [(6, 20), (7, 8), (8, 5)])
+@pytest.mark.parametrize("density", [0.3, 0.7])
+def test_canonical_key_is_least_bitset_on_seeded_graphs(support, count, density):
+    for g in _seeded_graphs_on_support(support, density, count, seed=support):
+        # an isolated vertex 0 in front: the key must drop it
+        key = canonical_form(make_graph(support + 1, [(i + 1, j + 1) for i, j in g.edge_list()]))
+        assert key.support == support
+        assert key.bits == oracle_canonical_bits(g)
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cordia.__file__)))
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import cordia; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_canonical_support_budget():
-    # 11 non-isolated vertices exceed the permutation-table budget
+    # 11 non-isolated vertices exceed MAX_CANONICAL_SUPPORT
     g = make_graph(12, [(i, i + 1) for i in range(0, 11, 2)] + [(0, 11)])
     assert g.support_size() > 10
     with pytest.raises(BudgetError):
@@ -130,6 +177,16 @@ def test_enumerate_counts_match_orbit_counting():
     for n in (4, 5, 6):
         total = sum(len(enumerate_graphs(n, m)) for m in range(edge_slots(n) + 1))
         assert total == burnside_graph_count(n)
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(n, m) for n in range(1, 6) for m in range(edge_slots(n) + 1)]
+    + [(6, m) for m in (0, 1, 2, 3, 4, 11, 12, 13, 14, 15)],
+)
+def test_enumerate_matches_subset_walk_oracle(n, m):
+    want = [canonical_representative(key, n) for key in oracle_enumerate_keys(n, m)]
+    assert list(enumerate_graphs(n, m)) == want
 
 
 def test_enumerate_level_counts_on_four_vertices():

@@ -29,7 +29,7 @@ from cordia import (
     oracle_23_orientable,
     orientation_feasible,
 )
-from cordia.labeling import _friendly_label_bits
+from cordia.labeling import _friendly_label_bits, _split_feasible
 
 from conftest import (
     brute_23_orientable,
@@ -129,6 +129,12 @@ def test_orientation_feasible_frozen():
     assert orientation_feasible(5, 9) == (4, 5)
     assert orientation_feasible(0, 0) == (0, 0)
     assert orientation_feasible(2, 0) is None
+
+
+def test_split_rule_closed_form_matches_orientation_feasible():
+    for s in range(101):
+        for d in range(101):
+            assert _split_feasible(s, d) == (orientation_feasible(s, d) is not None)
 
 
 def test_orientation_feasible_matches_brute_split_scan():
