@@ -136,7 +136,8 @@ def _cmd_preservers(args) -> tuple[dict, dict, int]:
     prop = GraphProperty(args.property)
     workers = args.workers if args.workers is not None else int(os.environ.get("CORDIA_WORKERS", "1"))
     inputs = {
-        "count": args.count,
+        # Exhaustive mode checks every bijection and ignores the count.
+        "count": None if args.mode == "exhaustive" else args.count,
         "mode": args.mode,
         "n": args.n,
         "property": prop.value,

@@ -2,20 +2,23 @@
 definitions (explicit labelings, explicit orientation walks, explicit
 permutation scans) rather than the package's bitset machinery.
 
-The two preserver oracles are the graph-by-graph paths the truth-table
-kernel replaced; they read membership from ``membership_bitmap``, which has
-its own tests against per-graph decisions.  The canonical-key oracle is the
-permutation minimum the least-bitset search replaced, and the enumeration
-oracle is the subset walk that level-by-level extension replaced; it takes
-its keys from ``_canonical_key_bits``, which is tested against the former."""
+The edge-mask oracle is the pair-by-pair loop the incident-mask XOR
+replaced, and the least-witness oracle re-decides every friendly labeling
+from the edge labels themselves.  The two preserver oracles are the
+graph-by-graph paths the truth-table kernel replaced; they read membership
+from ``membership_bitmap``, which has its own tests against per-graph
+decisions.  The canonical-key oracle is the permutation minimum the
+least-bitset search replaced, and the enumeration oracle is the subset walk
+that level-by-level extension replaced; it takes its keys from
+``_canonical_key_bits``, which is tested against the former."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import factorial
 
-from cordia import CanonicalKey, Graph, edge_slots, membership_bitmap
-from cordia.graphs import _canonical_key_bits
+from cordia import CanonicalKey, Graph, GraphProperty, edge_slots, membership_bitmap
+from cordia.graphs import _canonical_key_bits, pair_table
 
 
 def support_vertices(g: Graph) -> list[int]:
@@ -65,6 +68,47 @@ def brute_23_orientable(g: Graph) -> bool:
             if max(vals) - min(vals) <= 1:
                 return True
     return False
+
+
+def brute_least_witness(g: Graph, prop: GraphProperty) -> tuple[int | None, int]:
+    """(least feasible label bitset or None, friendly labelings seen).  Sum and
+    product label every edge and count the 1s; orient23 counts the same-label
+    edges and tries every number d_plus of cross edges pointing 0 -> 1."""
+    edges = g.edge_list()
+    m = len(edges)
+    best = None
+    seen = 0
+    for lab in brute_friendly_labelings(g):
+        seen += 1
+        if prop is GraphProperty.SUM:
+            ok = abs(m - 2 * sum((lab[i] + lab[j]) % 2 for i, j in edges)) <= 1
+        elif prop is GraphProperty.PRODUCT:
+            ok = abs(m - 2 * sum(lab[i] * lab[j] for i, j in edges)) <= 1
+        else:
+            same = sum(1 for i, j in edges if lab[i] == lab[j])
+            cross = m - same
+            ok = any(
+                max(same, dp, cross - dp) - min(same, dp, cross - dp) <= 1
+                for dp in range(cross + 1)
+            )
+        if ok:
+            bits = sum(1 << v for v, bit in lab.items() if bit)
+            if best is None or bits < best:
+                best = bits
+    return best, seen
+
+
+def oracle_edge_masks(n: int, labels: int) -> tuple[int, int]:
+    """(cross edges, both-endpoints-one edges) of a label bitset, pair by pair."""
+    cross = ones = 0
+    for k, (i, j) in enumerate(pair_table(n)):
+        a = labels >> i & 1
+        b = labels >> j & 1
+        if a != b:
+            cross |= 1 << k
+        elif a:
+            ones |= 1 << k
+    return cross, ones
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:

@@ -225,6 +225,23 @@ def test_preservers_exhaustive_candidates_passed_counts_survivors(capsys, prop, 
     assert result["operators_materialized"] == survivors
 
 
+@pytest.mark.parametrize(
+    "mode, argv, echoed",
+    [
+        ("exhaustive", (), None),
+        ("exhaustive", ("--count", "5"), None),
+        ("vertex-only", (), 1000),
+        ("sample", ("--count", "20"), 20),
+    ],
+)
+def test_preservers_echo_count_only_where_the_mode_reads_it(capsys, mode, argv, echoed):
+    code, payload = invoke(
+        capsys, "preservers", "--property", "sum", "--n", "4", "--mode", mode, *argv
+    )
+    assert code == 0
+    assert payload["inputs"]["count"] == echoed
+
+
 def test_preservers_sample_deterministic(capsys):
     args = (
         "preservers", "--property", "sum", "--n", "4",

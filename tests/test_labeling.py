@@ -1,5 +1,6 @@
 """Friendly labelings, edge rules, and the three decision procedures."""
 
+import random
 from math import comb
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from cordia import (
     BudgetError,
-    EdgeRule,
     GraphProperty,
     Orientation,
     VertexLabeling,
@@ -18,6 +18,7 @@ from cordia import (
     check_property,
     check_sum_cordial,
     complete,
+    edge_slots,
     empty,
     enumerate_graphs,
     friendly_vertex_labelings,
@@ -29,13 +30,16 @@ from cordia import (
     oracle_23_orientable,
     orientation_feasible,
 )
-from cordia.labeling import _friendly_label_bits, _split_feasible
+from cordia.graphs import MAX_VERTICES
+from cordia.labeling import _edge_masks, _friendly_label_bits, _passing, _split_feasible
 
 from conftest import (
     brute_23_orientable,
     brute_friendly_labelings,
+    brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    oracle_edge_masks,
     support_vertices,
 )
 
@@ -103,22 +107,51 @@ def test_orientation_rejects_out_of_range_bits():
 def test_induced_edge_counts_frozen_examples():
     two_matching = named("2k2")  # edges (0,1), (2,3)
     lab = VertexLabeling(0b0011, two_matching.support_mask())  # ones on 0 and 1
-    assert induced_edge_counts(two_matching, lab, EdgeRule.SUM_MOD2) == (2, 0)
+    assert induced_edge_counts(two_matching, lab, GraphProperty.SUM) == (2, 0)
 
     triangle = named("triangle")
     lab = VertexLabeling(0b001, triangle.support_mask())  # one vertex labeled 1
-    assert induced_edge_counts(triangle, lab, EdgeRule.SUM_MOD2) == (1, 2)
+    assert induced_edge_counts(triangle, lab, GraphProperty.SUM) == (1, 2)
 
     star = named("k13")  # center 0, leaves 1..3
     lab = VertexLabeling(0b0011, star.support_mask())  # ones on center and leaf 1
-    assert induced_edge_counts(star, lab, EdgeRule.PRODUCT) == (2, 1)
+    assert induced_edge_counts(star, lab, GraphProperty.PRODUCT) == (2, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_edge_masks_match_pair_loop_oracle_on_every_label_bitset(n):
+    for labels in range(1 << n):
+        assert _edge_masks(n, labels) == oracle_edge_masks(n, labels)
+
+
+@pytest.mark.parametrize("n", range(9, MAX_VERTICES + 1))
+def test_edge_masks_match_pair_loop_oracle_on_seeded_label_bitsets(n):
+    rng = random.Random(n)
+    for _ in range(200):
+        labels = rng.getrandbits(n)
+        assert _edge_masks(n, labels) == oracle_edge_masks(n, labels)
+
+
+def test_passing_counts_match_the_definitions():
+    # c counts the probed class: cross edges for sum and orient23, 1-1 edges
+    # for product; no count above m may pass.
+    for m in range(edge_slots(MAX_VERTICES) + 1):
+        for prop in ALL_PROPERTIES:
+            ok = _passing(prop, m)
+            assert ok >> m + 1 == 0
+            for c in range(m + 1):
+                if prop is GraphProperty.ORIENT23:
+                    want = _split_feasible(m - c, c)
+                else:
+                    want = -1 <= m - 2 * c <= 1
+                assert bool(ok >> c & 1) == want, (prop, m, c)
 
 
 def test_induced_edge_counts_rejects_arc_rule():
     g = named("triangle")
     lab = next(friendly_vertex_labelings(g))
     with pytest.raises(ValueError):
-        induced_edge_counts(g, lab, EdgeRule.SIGNED_DIFFERENCE)
+        induced_edge_counts(g, lab, GraphProperty.ORIENT23)
 
 
 # ---------------------------------------------------------------- orientations
@@ -162,9 +195,9 @@ def verify_witness(g, prop, verdict):
     ones = lab.labels.bit_count()
     assert is_k_friendly([size - ones, ones], 2)
     if prop is GraphProperty.SUM:
-        assert is_k_friendly(induced_edge_counts(g, lab, EdgeRule.SUM_MOD2), 2)
+        assert is_k_friendly(induced_edge_counts(g, lab, GraphProperty.SUM), 2)
     elif prop is GraphProperty.PRODUCT:
-        assert is_k_friendly(induced_edge_counts(g, lab, EdgeRule.PRODUCT), 2)
+        assert is_k_friendly(induced_edge_counts(g, lab, GraphProperty.PRODUCT), 2)
     else:
         assert verdict.orientation is not None
         assert check_23_cordial_digraph(g, verdict.orientation, lab)
@@ -239,18 +272,48 @@ def test_witness_is_smallest_feasible_label_bitset():
             feasible = []
             for lab in friendly_vertex_labelings(g):
                 if prop is GraphProperty.ORIENT23:
-                    d = induced_edge_counts(g, lab, EdgeRule.SUM_MOD2)[1]
+                    d = induced_edge_counts(g, lab, GraphProperty.SUM)[1]
                     ok = orientation_feasible(g.edge_count - d, d) is not None
                 else:
-                    rule = (
-                        EdgeRule.SUM_MOD2
-                        if prop is GraphProperty.SUM
-                        else EdgeRule.PRODUCT
-                    )
-                    ok = is_k_friendly(induced_edge_counts(g, lab, rule), 2)
+                    ok = is_k_friendly(induced_edge_counts(g, lab, prop), 2)
                 if ok:
                     feasible.append(lab.labels)
             assert verdict.labeling.labels == min(feasible)
+
+
+def _scattered_graphs(support, density, count, seed):
+    # Every one of the `support` vertices has an edge; they sit at random
+    # positions among support + 2 vertices, so the support is not a prefix.
+    rng = random.Random(seed)
+    n = support + 2
+    out = []
+    while len(out) < count:
+        pos = rng.sample(range(n), support)
+        edges = [
+            (pos[i], pos[j])
+            for i in range(support)
+            for j in range(i + 1, support)
+            if rng.random() < density
+        ]
+        g = make_graph(n, edges)
+        if g.support_size() == support:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("support", range(6, 11))
+@pytest.mark.parametrize("density", [0.25, 0.75])
+def test_least_witness_matches_brute_force_past_support_five(support, density):
+    for g in _scattered_graphs(support, density, 5, seed=support):
+        for prop in ALL_PROPERTIES:
+            verdict = check_property(g, prop)
+            best, friendly = brute_least_witness(g, prop)
+            assert verdict.decision is (best is not None), (g, prop)
+            assert verdict.labelings_examined == friendly
+            if best is not None:
+                assert verdict.labeling.labels == best
+                assert verdict.labeling.support == g.support_mask()
+                verify_witness(g, prop, verdict)
 
 
 def test_labelings_examined_is_the_full_scan_size():
@@ -287,6 +350,23 @@ def test_oracle_agrees_with_reduction_on_five_vertex_classes():
             assert slow.decision == fast.decision
             if slow.decision:
                 assert check_23_cordial_digraph(g, slow.orientation, slow.labeling)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_ambient_orientability_matches_oracle_on_padded_graphs(n):
+    # Every class on n - 1 vertices with at most 12 edges, placed at seeded
+    # positions among n vertices; at n = 7 and 8 some fail on their support
+    # and pass with the isolated vertex counted, and one at n = 8 fails both.
+    rng = random.Random(n)
+    for m in range(1, min(12, edge_slots(n - 1)) + 1):
+        for c in enumerate_graphs(n - 1, m):
+            pos = rng.sample(range(n), n - 1)
+            g = make_graph(n, [(pos[i], pos[j]) for i, j in c.edge_list()])
+            fast = check_23_orientable(g, ambient_friendly=True)
+            assert fast.decision == oracle_23_orientable(g, ambient_friendly=True).decision, g
+            assert fast.labelings_examined == comb(n, n // 2) * (1 + n % 2)
+            if fast.decision:
+                assert check_23_cordial_digraph(g, fast.orientation, fast.labeling)
 
 
 def test_oracle_refuses_past_its_edge_budget():
