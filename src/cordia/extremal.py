@@ -1,42 +1,23 @@
 """Edge-count extremes for the three labeling properties.
 
 Closed-form edge bounds as stated for each property, an exhaustive empirical
-maximum that certifies every level above its answer, and the minimal failing
+maximum read off the isomorphism classes of each edge-count level (every
+level above the answer is certified failing), and the minimal failing
 isomorphism classes per edge count.  Two of the stated bounds are not upper
 bounds: the empirical product maximum exceeds the stated product bound by one
 at every n in 4..7, and the orientability maximum exceeds the closed form by
-one at n=7 (see bound_23_orientable).
+one at n=7, 8 and 9 (see bound_23_orientable).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .errors import BudgetError
-from .graphs import (
-    SUBSET_BUDGET,
-    CanonicalKey,
-    Graph,
-    canonical_representative,
-    connected_on_support,
-    edge_index,
-    edge_slots,
-    enumerate_graphs,
-    incident_masks,
-    iter_bits,
-    make_graph,
-    pair_table,
-)
+from .graphs import Graph, connected_on_support, edge_slots, enumerate_graphs, make_graph
 from .labeling import GraphProperty, _decide_bits
-
-_EMPIRICAL_CAPS = {
-    GraphProperty.SUM: 8,
-    GraphProperty.PRODUCT: 8,
-    GraphProperty.ORIENT23: 7,
-}
 
 MINIMAL_EDGE_CAP = 6
 
@@ -106,59 +87,18 @@ def empirical_max_edges(prop: GraphProperty, n: int) -> tuple[int, Graph]:
     """Largest m with a property-satisfying graph on at most n vertices, plus
     the satisfying class with the least canonical key at that m.
 
-    Walks m downward from the complete graph.  A level is certified failing
-    only after every labeled edge subset of that size has been checked.
+    Walks m downward from the complete graph and decides each isomorphism
+    class of a level once; a level is certified failing only after every one
+    of its classes has failed.  enumerate_graphs returns a level sorted by
+    canonical key, so the first satisfying class is the witness, and its
+    limits are the only refusals.
     """
-    cap = _EMPIRICAL_CAPS[prop]
     if n < 2:
         raise ValueError("need at least one potential edge")
-    if n > cap:
-        raise BudgetError(f"empirical search for {prop.value} is capped at n={cap}, got {n}")
-    slots = edge_slots(n)
-    full = (1 << slots) - 1
-    inc = incident_masks(n)
-    for m in range(slots, 0, -1):
-        mm = min(m, slots - m)
-        if comb(slots, mm) > SUBSET_BUDGET:
-            raise BudgetError(
-                f"level (n={n}, m={m}) has {comb(slots, mm)} subsets; budget is {SUBSET_BUDGET}"
-            )
-        flip = mm != m
-        satisfying = []
-        for combo in combinations(range(slots), mm):
-            bits = 0
-            for k in combo:
-                bits |= 1 << k
-            if flip:
-                bits ^= full
-            sup = 0
-            for v in range(n):
-                if bits & inc[v]:
-                    sup |= 1 << v
-            if _decide_bits(n, bits, prop, sup):
-                satisfying.append((sup.bit_count(), bits, sup))
-        if satisfying:
-            # The satisfying set covers the full permutation orbit of each of
-            # its classes, so the least canonical key can be read off the raw
-            # bitsets of the minimal-support graphs sitting on a vertex prefix.
-            size = min(row[0] for row in satisfying)
-            prefix = (1 << size) - 1
-            pt = pair_table(n)
-            best = None
-            for _, bits, sup in satisfying:
-                if sup != prefix:
-                    continue
-                if size == n:
-                    small = bits
-                else:
-                    small = 0
-                    for k in iter_bits(bits):
-                        i, j = pt[k]
-                        small |= 1 << edge_index(size, i, j)
-                if best is None or small < best:
-                    best = small
-            key = CanonicalKey(size, m, best)
-            return m, canonical_representative(key, n)
+    for m in range(edge_slots(n), 0, -1):
+        for g in enumerate_graphs(n, m):
+            if _decide_bits(n, g.edges, prop):
+                return m, g
     raise AssertionError("unreachable: a single edge satisfies every property")
 
 

@@ -23,9 +23,9 @@ MAX_CANONICAL_SUPPORT = 10
 MAX_ENUMERATION_VERTICES = 9
 
 # Largest number of edge subsets (counted through the complement above half
-# the slots) a single enumeration or search level may hold.  The subset walk
-# of empirical_max_edges visits them all; enumeration refuses the same
-# levels.  Anything bigger fails loudly instead of running for hours.
+# the slots) a single enumeration level may hold.  enumerate_graphs is its
+# only user; empirical_max_edges reads its levels and so meets the same
+# refusals.  Anything bigger fails loudly instead of running for hours.
 SUBSET_BUDGET = 600_000
 
 

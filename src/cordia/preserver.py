@@ -487,6 +487,21 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int, workers:
     return SearchReport(n, prop, "sample", count, ops, discarded, failures)
 
 
+def confirmed_failures(report: SearchReport) -> int:
+    """How many of report's recorded failures the membership table confirms:
+    the counterexample and its image under the failure's edge map differ in
+    membership.  Needs the table, so n <= MEMBERSHIP_VERTEX_LIMIT."""
+    bm = membership_bitmap(report.n, report.property)
+    confirmed = 0
+    for failure in report.failures:
+        g = failure.counterexample.edges
+        img = 0
+        for k in iter_bits(g):
+            img |= 1 << failure.edge_map[k]
+        confirmed += (bm >> g ^ bm >> img) & 1
+    return confirmed
+
+
 def _search_vertex_only(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:
     if n > VERTEX_ONLY_LIMIT:
         raise BudgetError(f"vertex-only mode is capped at n={VERTEX_ONLY_LIMIT}")
@@ -548,7 +563,10 @@ def search_strong_preservers(
       them, or a BudgetError at once if they exceed SURVIVOR_BUDGET.
     - "vertex-only" verifies all n! vertex permutations: exactly against the
       membership table up to n = 6, by seeded graph spot checks (`count`
-      graphs, 32 when count is 0 or None) for n = 7, 8.
+      graphs, 32 when count is 0 or None) for n = 7, 8.  Every property
+      here is isomorphism-invariant, so a vertex map always preserves it:
+      the spot checks can fail only if a decider is not invariant, and
+      test that rather than the preserver theorem.
     - "sample" draws `count` seeded random edge bijections, discards the
       vertex-induced ones, and records for every failure the first mismatch
       in the scan order of ``_scan_pairs``, which need not be the least one.

@@ -10,15 +10,27 @@ from ``membership_bitmap``, which has its own tests against per-graph
 decisions.  The canonical-key oracle is the permutation minimum the
 least-bitset search replaced, and the enumeration oracle is the subset walk
 that level-by-level extension replaced; it takes its keys from
-``_canonical_key_bits``, which is tested against the former."""
+``_canonical_key_bits``, which is tested against the former.  The
+empirical-maximum oracle is the labeled-subset walk that the scan over
+isomorphism classes replaced; it decides with ``_decide_bits``, so it checks
+the route through the classes and the least-key witness, not the decider."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
-from cordia import CanonicalKey, Graph, GraphProperty, edge_slots, membership_bitmap
-from cordia.graphs import _canonical_key_bits, pair_table
+from cordia import BudgetError, CanonicalKey, Graph, GraphProperty, edge_slots, membership_bitmap
+from cordia.graphs import (
+    SUBSET_BUDGET,
+    _canonical_key_bits,
+    canonical_representative,
+    edge_index,
+    incident_masks,
+    iter_bits,
+    pair_table,
+)
+from cordia.labeling import _decide_bits
 
 
 def support_vertices(g: Graph) -> list[int]:
@@ -149,6 +161,59 @@ def oracle_enumerate_keys(n: int, m: int) -> list[CanonicalKey]:
     for combo in combinations(range(edge_slots(n)), m):
         keys.add(_canonical_key_bits(n, sum(1 << k for k in combo)))
     return sorted(keys)
+
+
+def oracle_empirical_max(prop: GraphProperty, n: int) -> tuple[int, Graph]:
+    """(largest satisfying edge count, least-key witness) on at most n vertices,
+    walked one labeled edge subset at a time from the complete graph down."""
+    if n < 2:
+        raise ValueError("need at least one potential edge")
+    slots = edge_slots(n)
+    full = (1 << slots) - 1
+    inc = incident_masks(n)
+    for m in range(slots, 0, -1):
+        mm = min(m, slots - m)
+        if comb(slots, mm) > SUBSET_BUDGET:
+            raise BudgetError(
+                f"level (n={n}, m={m}) has {comb(slots, mm)} subsets; budget is {SUBSET_BUDGET}"
+            )
+        flip = mm != m
+        satisfying = []
+        for combo in combinations(range(slots), mm):
+            bits = 0
+            for k in combo:
+                bits |= 1 << k
+            if flip:
+                bits ^= full
+            sup = 0
+            for v in range(n):
+                if bits & inc[v]:
+                    sup |= 1 << v
+            if _decide_bits(n, bits, prop, sup):
+                satisfying.append((sup.bit_count(), bits, sup))
+        if satisfying:
+            # The satisfying set covers the full permutation orbit of each of
+            # its classes, so the least canonical key can be read off the raw
+            # bitsets of the minimal-support graphs sitting on a vertex prefix.
+            size = min(row[0] for row in satisfying)
+            prefix = (1 << size) - 1
+            pt = pair_table(n)
+            best = None
+            for _, bits, sup in satisfying:
+                if sup != prefix:
+                    continue
+                if size == n:
+                    small = bits
+                else:
+                    small = 0
+                    for k in iter_bits(bits):
+                        i, j = pt[k]
+                        small |= 1 << edge_index(size, i, j)
+                if best is None or small < best:
+                    best = small
+            key = CanonicalKey(size, m, best)
+            return m, canonical_representative(key, n)
+    raise AssertionError("unreachable: a single edge satisfies every property")
 
 
 def burnside_graph_count(n: int) -> int:

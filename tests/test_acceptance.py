@@ -38,7 +38,6 @@ from cordia import (
     is_injective,
     is_surjective,
     make_graph,
-    membership_bitmap,
     minimal_noncordial,
     oracle_23_orientable,
     relabel,
@@ -49,7 +48,7 @@ from cordia import (
 )
 from cordia.extremal import _edge_count_classes
 from cordia.graphs import pair_table
-from cordia.preserver import _operator_from_edge_map, is_vertex_permutation
+from cordia.preserver import _operator_from_edge_map, confirmed_failures, is_vertex_permutation
 
 from conftest import brute_isomorphic, brute_product_cordial, brute_sum_cordial
 
@@ -324,16 +323,7 @@ def test_criterion_11_orientable_preservers_at_six_sampled():
         and len(sample.operators) == 0
         and len(sample.failures) == 100_000 - sample.discarded_vertex_induced
     )
-    bm = membership_bitmap(6, ORIENT)
-    reverified = 0
-    for failure in sample.failures:
-        g = failure.counterexample.edges
-        img = 0
-        for k in range(15):
-            if g >> k & 1:
-                img |= 1 << failure.edge_map[k]
-        if (bm >> g ^ bm >> img) & 1:
-            reverified += 1
+    reverified = confirmed_failures(sample)
     verdict(
         11,
         all_vertex_pass and sampled_all_fail and reverified == len(sample.failures),

@@ -167,7 +167,7 @@ def test_extremal_minimal(capsys):
 
 def test_extremal_budget_exceeded(capsys):
     code, payload = invoke(
-        capsys, "extremal", "--property", "sum", "--n", "9", "--mode", "empirical"
+        capsys, "extremal", "--property", "product", "--n", "8", "--mode", "empirical"
     )
     assert code == 3
     assert payload["error"]["kind"] == "budget"

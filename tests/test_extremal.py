@@ -1,4 +1,7 @@
-"""Edge-count bounds, exhaustive empirical maxima, and minimal failing classes."""
+"""Edge-count bounds, exhaustive empirical maxima, and minimal failing classes.
+
+The empirical maxima are read off the isomorphism classes; the labeled
+subset walk they replaced is kept in conftest as their oracle."""
 
 from math import comb
 
@@ -29,8 +32,10 @@ from cordia.extremal import _edge_count_classes
 from conftest import (
     brute_23_orientable,
     brute_isomorphic,
+    brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    oracle_empirical_max,
 )
 
 BRUTE = {
@@ -76,9 +81,26 @@ def test_bounds_for_dispatch():
 
 # ------------------------------------------------------------ empirical maxima
 
-SUM_EMPIRICAL = {4: (5, "C}"), 5: (9, "D~w"), 6: (13, "E~~_"), 7: (19, "F~~~_"), 8: (25, "G~~~~_")}
+SUM_EMPIRICAL = {
+    4: (5, "C}"),
+    5: (9, "D~w"),
+    6: (13, "E~~_"),
+    7: (19, "F~~~_"),
+    8: (25, "G~~~~_"),
+    9: (33, "H~~~~~w"),
+}
 PRODUCT_EMPIRICAL = {4: (3, "Cw"), 5: (7, "D}o"), 6: (7, "E}o?"), 7: (13, "F~zE?")}
-ORIENT_EMPIRICAL = {6: (14, "E~~o"), 7: (19, "F~~~_")}
+ORIENT_EMPIRICAL = {6: (14, "E~~o"), 7: (19, "F~~~_"), 8: (25, "G~~~vo"), 9: (31, "H~~~~rw")}
+
+# The cells the subset walk answered under its former per-property caps
+# (sum n <= 8, product n <= 7, orient23 n <= 7), plus sum n=9 and orient23
+# n=8, which it settles in a fraction of a second.  Orient23 n=9 takes it
+# about 10 s and product n=8 is over SUBSET_BUDGET.
+ORACLE_CELLS = (
+    [(GraphProperty.SUM, n) for n in range(2, 10)]
+    + [(GraphProperty.PRODUCT, n) for n in range(2, 8)]
+    + [(GraphProperty.ORIENT23, n) for n in range(2, 9)]
+)
 
 
 def _check_empirical(prop, n, expected_m, expected_g6):
@@ -95,7 +117,7 @@ def test_empirical_sum_frozen(n):
     m, g6 = SUM_EMPIRICAL[n]
     witness = _check_empirical(GraphProperty.SUM, n, m, g6)
     assert brute_sum_cordial(witness)
-    assert m <= bound_sum_cordial(n)  # the n in [4, 8] edge-bound invariant
+    assert m <= bound_sum_cordial(n)  # the n in [4, 9] edge-bound invariant
     assert m == bound_sum_cordial(n)  # attained at every n here
 
 
@@ -115,11 +137,23 @@ def test_empirical_product_frozen(n):
 def test_empirical_orientable_frozen(n):
     m, g6 = ORIENT_EMPIRICAL[n]
     witness = _check_empirical(GraphProperty.ORIENT23, n, m, g6)
-    # Independent confirmation: the full orientation walk agrees.
-    assert oracle_23_orientable(witness).decision
+    # Independent confirmation from the edge labels of every friendly labeling.
+    assert brute_least_witness(witness, GraphProperty.ORIENT23)[0] is not None
+    if m <= 20:  # the full orientation walk refuses more edges
+        assert oracle_23_orientable(witness).decision
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize(
+    "prop,n", ORACLE_CELLS, ids=[f"{p.value}-{n}" for p, n in ORACLE_CELLS]
+)
+def test_empirical_matches_subset_walk_oracle(prop, n):
+    m, witness = empirical_max_edges(prop, n)
+    want_m, want_witness = oracle_empirical_max(prop, n)
+    assert m == want_m
+    assert (witness.n, witness.edges) == (want_witness.n, want_witness.edges)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_empirical_orientable_equals_stated_bound(n):
     """The stated closed form against the count argument and the search.
 
@@ -129,7 +163,7 @@ def test_empirical_orientable_equals_stated_bound(n):
     s <= (m - s)/2 + 1 of them, hence s <= floor(D/2) + 1, and s is also
     at most the number of same-label pairs.  The stated closed form
     D + ceil(D/2) is that maximum only when D is odd; when D is even
-    (n not 2 mod 4, first at n=7) the search finds one edge more.
+    (n not 2 mod 4: n=7, 8 and 9 here) the search finds one edge more.
     """
     m, _ = empirical_max_edges(GraphProperty.ORIENT23, n)
     d = (n // 2) * ((n + 1) // 2)
@@ -186,10 +220,12 @@ def test_survey_bundles_bound_and_empirical():
 
 
 def test_empirical_budget_and_domain_errors():
-    with pytest.raises(BudgetError):
-        empirical_max_edges(GraphProperty.SUM, 9)
-    with pytest.raises(BudgetError):
-        empirical_max_edges(GraphProperty.ORIENT23, 8)
+    # Refusals come from enumerate_graphs: a level over SUBSET_BUDGET, or n
+    # above the enumeration cap.
+    with pytest.raises(BudgetError, match="n=8, m=21"):
+        empirical_max_edges(GraphProperty.PRODUCT, 8)
+    with pytest.raises(BudgetError, match="enumeration is capped at n=9"):
+        empirical_max_edges(GraphProperty.SUM, 10)
     with pytest.raises(ValueError):
         empirical_max_edges(GraphProperty.SUM, 1)
 

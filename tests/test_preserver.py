@@ -1,5 +1,6 @@
 """Linear operators on edge sets and the strong-preserver searches."""
 
+import dataclasses
 from itertools import permutations
 from math import factorial
 from random import Random
@@ -39,7 +40,13 @@ from cordia import (
 )
 from conftest import oracle_exhaustive_survivors, oracle_strongly_preserves
 from cordia.graphs import pair_table
-from cordia.preserver import _operator_from_edge_map, _pruned_bijections, _vertex_edge_maps
+from cordia.preserver import (
+    SampleFailure,
+    _operator_from_edge_map,
+    _pruned_bijections,
+    _vertex_edge_maps,
+    confirmed_failures,
+)
 
 
 def random_operator(n, rng):
@@ -390,6 +397,16 @@ def test_sample_mode_is_deterministic_and_reverifiable():
 
     different = search_strong_preservers(4, GraphProperty.SUM, "sample", count=200, seed=8)
     assert different != a
+
+
+def test_confirmed_failures_counts_only_real_mismatches():
+    report = search_strong_preservers(4, GraphProperty.SUM, "sample", count=200, seed=7)
+    assert confirmed_failures(report) == len(report.failures) == 189
+    # The identity map changes no graph's membership, so a failure that
+    # claims it does is not confirmed.
+    forged = SampleFailure(0, tuple(range(6)), Graph(4, 0b100001))
+    report = dataclasses.replace(report, failures=report.failures[:3] + (forged,))
+    assert confirmed_failures(report) == 3
 
 
 def has_property_or_false(g):
