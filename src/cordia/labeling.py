@@ -15,10 +15,20 @@ test on one edge class of a friendly labeling: sum and product count the
 cross and the 1-1 edges, which must be about half of all edges, and
 orientability counts the cross edges, which must split into d_plus and
 d_minus within one of each other and of the same-label edges.  So every
-decision reads one mask table per support, one int per friendly labeling
-holding both classes, and one bitmask of the passing counts per property and
-edge count.  An independent oracle that walks every orientation is kept
-alongside the orientability reduction.
+decision compares one count against one bitmask of the passing counts per
+property and edge count.  Two layouts feed it:
+
+- bulk decisions (has_property and the searches built on it) read one mask
+  table per support, one int per friendly labeling holding both classes,
+  and stop at the first labeling that passes;
+- witness searches (check_property and the check_* functions) read label
+  columns per support size, one int per support position with one bit per
+  friendly labeling.  They count the class of every labeling at once by
+  bit-sliced addition, and read the least witness off the bitset of the
+  labelings that pass.
+
+An independent oracle that walks every orientation is kept alongside the
+orientability reduction.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Sequence
 
 from .errors import BudgetError
@@ -257,21 +268,88 @@ def _witness_orientation(g: Graph, labels: int) -> Orientation:
     return Orientation(bits, m)
 
 
+@lru_cache(maxsize=None)
+def _label_columns(s: int) -> tuple[int, ...]:
+    """The compact friendly table _friendly_label_bits((1 << s) - 1) read by
+    position: bit i of column v is label v of entry i.
+
+    Built by Pascal's rule: in ascending order, the k-subsets of t positions
+    are the k-subsets of t - 1 positions, then the (k - 1)-subsets of t - 1
+    positions with position t - 1 added.  So each earlier column is its
+    (t - 1, k) column followed by its (t - 1, k - 1) column, and column
+    t - 1 is zeros, then ones."""
+    row = [(1, ())]  # per k: (entries, columns) of the k-subsets of t positions
+    for t in range(1, s + 1):
+        none = (0, (0,) * (t - 1))
+        nxt = []
+        for k in range(t + 1):
+            lo, lo_cols = row[k] if k < t else none
+            hi, hi_cols = row[k - 1] if k else none
+            cols = tuple(a | b << lo for a, b in zip(lo_cols, hi_cols))
+            nxt.append((lo + hi, cols + (((1 << hi) - 1) << lo,)))
+        row = nxt
+    lo, cols = row[s // 2]
+    if s % 2:
+        cols = tuple(a | b << lo for a, b in zip(cols, row[s - s // 2][1]))
+    return cols
+
+
+def _count_planes(g: Graph, prop: GraphProperty, cols: tuple[int, ...], positions: list[int]) -> list[int]:
+    """Bit-sliced counts (Knuth, TAOCP 4A, 7.1.3) of the edge class prop
+    probes, in every lane of cols at once: plane k holds bit k of each lane's
+    count.  An edge adds col_u & col_v to the 1-1 count of product and
+    col_u ^ col_v to the cross count otherwise, by ripple carry."""
+    rank = {v: r for r, v in enumerate(positions)}
+    product = prop is _PRODUCT
+    planes: list[int] = []
+    for i, j in g.edge_list():
+        a = cols[rank[i]]
+        b = cols[rank[j]]
+        carry = a & b if product else a ^ b
+        for k, p in enumerate(planes):
+            planes[k] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
 def _check(g: Graph, prop: GraphProperty, support: int) -> Verdict:
     """Verdict witnessed by the least feasible friendly label bitset of the
-    support; the whole table is scanned, so labelings_examined is its size."""
-    labs = _friendly_label_bits(support)
-    ok = _passing(prop, g.edge_count)
-    probe = _probe(g.n, g.edges, prop)
-    best = min(
-        (lab for lab, mask in zip(labs, _label_masks(g.n, support))
-         if ok >> (probe & mask).bit_count() & 1),
-        default=None,
-    )
+    support.  Every friendly labeling is decided at once, one lane of the
+    support size's label columns each, so labelings_examined is their number."""
+    positions = list(iter_bits(support))
+    s = len(positions)
+    cols = _label_columns(s)
+    size = comb(s, s // 2)  # entries per popcount class
+    lanes = size << (s & 1)
+    planes = _count_planes(g, prop, cols, positions)
+    full = (1 << lanes) - 1
+    hits = 0
+    for c in iter_bits(_passing(prop, g.edge_count)):
+        if c >> len(planes):
+            break  # no lane counts this high
+        eq = full
+        for k, p in enumerate(planes):
+            eq &= p if c >> k & 1 else ~p
+        hits |= eq
+    # Each popcount class ascends, and putting entries on the support keeps
+    # their order, so the least witness is the least of the classes' first hits.
+    best = None
+    for start in range(0, lanes, size):
+        part = hits >> start & (1 << size) - 1
+        if part:
+            i = start + (part & -part).bit_length() - 1
+            lab = sum(1 << p for col, p in zip(cols, positions) if col >> i & 1)
+            if best is None or lab < best:
+                best = lab
     if best is None:
-        return Verdict(False, None, None, len(labs))
+        return Verdict(False, None, None, lanes)
     orientation = _witness_orientation(g, best) if prop is _ORIENT23 else None
-    return Verdict(True, VertexLabeling(best, support), orientation, len(labs))
+    return Verdict(True, VertexLabeling(best, support), orientation, lanes)
 
 
 def check_sum_cordial(g: Graph) -> Verdict:

@@ -430,7 +430,11 @@ def _search_exhaustive(n: int, prop: GraphProperty) -> SearchReport:
     if _edge_count_determined(bm, slots):
         # A bijection keeps edge counts, so every one of them survives.
         if total > SURVIVOR_BUDGET:
-            raise _too_many_survivors(n)
+            raise BudgetError(
+                f"membership at n={n} depends only on the edge count, so all "
+                f"{slots}! = {total} edge bijections are strong preservers, more than "
+                f"{SURVIVOR_BUDGET}; the class is too permissive for an exhaustive report"
+            )
         passing = list(permutations(range(slots)))
     else:
         passing = _pruned_bijections(n, bm)

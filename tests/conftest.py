@@ -4,7 +4,10 @@ permutation scans) rather than the package's bitset machinery.
 
 The edge-mask oracle is the pair-by-pair loop the incident-mask XOR
 replaced, and the least-witness oracle re-decides every friendly labeling
-from the edge labels themselves.  The two preserver oracles are the
+from the edge labels themselves.  The scan oracle is the labeling-by-labeling
+walk of the per-support mask table that the bit-sliced witness search
+replaced; it reaches supports up to 16, where the least-witness oracle is
+too slow.  The two preserver oracles are the
 graph-by-graph paths the truth-table kernel replaced; they read membership
 from ``membership_bitmap``, which has its own tests against per-graph
 decisions.  The canonical-key oracle is the permutation minimum the
@@ -30,7 +33,17 @@ from cordia.graphs import (
     iter_bits,
     pair_table,
 )
-from cordia.labeling import _decide_bits
+from cordia.labeling import (
+    _ORIENT23,
+    Verdict,
+    VertexLabeling,
+    _decide_bits,
+    _friendly_label_bits,
+    _label_masks,
+    _passing,
+    _probe,
+    _witness_orientation,
+)
 
 
 def support_vertices(g: Graph) -> list[int]:
@@ -108,6 +121,23 @@ def brute_least_witness(g: Graph, prop: GraphProperty) -> tuple[int | None, int]
             if best is None or bits < best:
                 best = bits
     return best, seen
+
+
+def oracle_check_scan(g: Graph, prop: GraphProperty, support: int) -> Verdict:
+    """Verdict witnessed by the least feasible friendly label bitset of the
+    support; the whole table is scanned, so labelings_examined is its size."""
+    labs = _friendly_label_bits(support)
+    ok = _passing(prop, g.edge_count)
+    probe = _probe(g.n, g.edges, prop)
+    best = min(
+        (lab for lab, mask in zip(labs, _label_masks(g.n, support))
+         if ok >> (probe & mask).bit_count() & 1),
+        default=None,
+    )
+    if best is None:
+        return Verdict(False, None, None, len(labs))
+    orientation = _witness_orientation(g, best) if prop is _ORIENT23 else None
+    return Verdict(True, VertexLabeling(best, support), orientation, len(labs))
 
 
 def oracle_edge_masks(n: int, labels: int) -> tuple[int, int]:

@@ -29,9 +29,18 @@ from cordia import (
     named,
     oracle_23_orientable,
     orientation_feasible,
+    relabel,
 )
 from cordia.graphs import MAX_VERTICES
-from cordia.labeling import _edge_masks, _friendly_label_bits, _passing, _split_feasible
+from cordia.labeling import (
+    _check,
+    _edge_masks,
+    _friendly_label_bits,
+    _label_columns,
+    _labeling_mask,
+    _passing,
+    _split_feasible,
+)
 
 from conftest import (
     brute_23_orientable,
@@ -39,6 +48,7 @@ from conftest import (
     brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    oracle_check_scan,
     oracle_edge_masks,
     support_vertices,
 )
@@ -283,9 +293,10 @@ def test_witness_is_smallest_feasible_label_bitset():
 
 def _scattered_graphs(support, density, count, seed):
     # Every one of the `support` vertices has an edge; they sit at random
-    # positions among support + 2 vertices, so the support is not a prefix.
+    # positions among support + 2 vertices (at most MAX_VERTICES), so below
+    # support 15 the support is not a prefix.
     rng = random.Random(seed)
-    n = support + 2
+    n = min(support + 2, MAX_VERTICES)
     out = []
     while len(out) < count:
         pos = rng.sample(range(n), support)
@@ -314,6 +325,65 @@ def test_least_witness_matches_brute_force_past_support_five(support, density):
                 assert verdict.labeling.labels == best
                 assert verdict.labeling.support == g.support_mask()
                 verify_witness(g, prop, verdict)
+
+
+def _modes(prop):
+    return (False, True) if prop is GraphProperty.ORIENT23 else (False,)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_check_matches_scan_oracle_on_every_small_edge_bitset(n):
+    # The bit-sliced decider against the table scan it replaced: the same
+    # Verdict, witness, orientation and count, orient23 also in ambient mode.
+    for bits in range(1, 1 << edge_slots(n)):
+        g = _graph_from_bits(n, bits)
+        for prop in ALL_PROPERTIES:
+            for ambient in _modes(prop):
+                support = _labeling_mask(g, ambient)
+                assert _check(g, prop, support) == oracle_check_scan(g, prop, support), (g, prop)
+
+
+@pytest.mark.parametrize("support", range(11, MAX_VERTICES + 1))
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_check_matches_scan_oracle_at_large_supports(support, density):
+    # Past support 10 brute_least_witness is too slow; the table scan is not.
+    for g in _scattered_graphs(support, density, 2, seed=support):
+        for prop in ALL_PROPERTIES:
+            for ambient in _modes(prop):
+                mask = _labeling_mask(g, ambient)
+                assert _check(g, prop, mask) == oracle_check_scan(g, prop, mask), (g, prop)
+
+
+@pytest.mark.parametrize("s", range(1, MAX_VERTICES + 1))
+def test_label_columns_transpose_the_compact_friendly_table(s):
+    # Witness minimality reads entries through the columns in table order.
+    table = _friendly_label_bits((1 << s) - 1)
+    cols = _label_columns(s)
+    assert len(cols) == s
+    lanes = len(table)
+    rows = [format(col, f"0{lanes}b")[::-1] for col in cols]
+    assert all(len(row) == lanes for row in rows)  # no bit at or past the last entry
+    for i, entry in enumerate(table):
+        assert entry == sum(1 << v for v, row in enumerate(rows) if row[i] == "1"), (s, i)
+
+
+@pytest.mark.parametrize("n", range(7, MAX_VERTICES + 1))
+def test_decisions_are_invariant_under_vertex_relabeling(n):
+    # Seeded graphs and relabelings beyond the n <= 6 of criterion 13; from
+    # n = 8 on, the bulk decider must also agree with the witness search.
+    rng = random.Random(n)
+    for density in (0.2, 0.5, 0.8):
+        bits = 0
+        while not bits:
+            bits = sum(1 << k for k in range(edge_slots(n)) if rng.random() < density)
+        g = _graph_from_bits(n, bits)
+        h = relabel(g, tuple(rng.sample(range(n), n)))
+        for prop in ALL_PROPERTIES:
+            a = check_property(g, prop)
+            b = check_property(h, prop)
+            assert (a.decision, a.labelings_examined) == (b.decision, b.labelings_examined)
+            if n >= 8:
+                assert has_property(g, prop) == a.decision
 
 
 def test_labelings_examined_is_the_full_scan_size():
