@@ -7,6 +7,14 @@ value hashable and immutable.  The canonical form of a graph is its least
 edge bitset over all orderings of its non-isolated vertices, found by a
 row-by-row search that keeps only the least partial orderings; it is
 available while that support is small (at most 10 vertices).
+
+Isomorphism classes are enumerated level by level: each class with m edges
+comes from a class with m - 1 edges plus one absent edge.  Two vertices are
+twins when they have the same neighbours apart from each other, and swapping
+them is an automorphism, so every absent edge joining the same two twin
+classes gives the same class; only one of them is keyed.  This is the cheap
+part of extending by one edge per automorphism orbit (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).
 """
 
 from __future__ import annotations
@@ -279,14 +287,56 @@ def canonical_representative(key: CanonicalKey, n: int) -> Graph:
     return make_graph(n, [pt[e] for e in iter_bits(key.bits)])
 
 
+def _twin_classes(g: Graph) -> list[int]:
+    """Per vertex, the least vertex of its twin class.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}.  That is an equivalence:
+    if w is an adjacent twin of v, a non-adjacent twin of v would be adjacent
+    to w and so to v; twins of one kind share their (open or closed)
+    neighbourhood.  All isolated vertices form one class.
+    """
+    adj = [0] * g.n
+    pt = pair_table(g.n)
+    for k in iter_bits(g.edges):
+        i, j = pt[k]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    lead = list(range(g.n))
+    leaders: list[int] = []
+    for v in range(g.n):
+        for u in leaders:
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                lead[v] = u
+                break
+        else:
+            leaders.append(v)
+    return lead
+
+
+def _extension_slots(g: Graph) -> list[int]:
+    """One absent edge slot per unordered pair of twin classes of g that an
+    absent edge joins, the lowest such slot."""
+    lead = _twin_classes(g)
+    first: dict[tuple[int, int], int] = {}
+    for k, (i, j) in enumerate(pair_table(g.n)):
+        if not g.edges >> k & 1:
+            a, b = lead[i], lead[j]
+            first.setdefault((a, b) if a < b else (b, a), k)
+    return list(first.values())
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class with m edges on at most n vertices.
 
     Classes are counted up to isomorphism after dropping isolated vertices, and
     representatives come back sorted by canonical key.  Level m is built by
-    adding each absent edge to each representative of level m - 1; a level
-    above half the edge slots is the complements of level C(n, 2) - m.
+    adding to each representative of level m - 1 one absent edge per unordered
+    pair of its twin classes.  Swapping two twins is an automorphism, and twins
+    meet every vertex outside their class alike, so all absent edges joining
+    one pair of classes lie in one orbit and give the same key; the keys are
+    those of adding every absent edge.  A level above half the edge slots is
+    the complements of level C(n, 2) - m.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -307,8 +357,7 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
         keys = {
             _canonical_key_bits(n, g.edges | 1 << k)
             for g in enumerate_graphs(n, m - 1)
-            for k in range(slots)
-            if not g.edges >> k & 1
+            for k in _extension_slots(g)
         }
     return tuple(canonical_representative(key, n) for key in sorted(keys))
 

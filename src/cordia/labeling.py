@@ -94,34 +94,26 @@ def is_k_friendly(counts: Sequence[int], k: int) -> bool:
     return max(vals) - min(vals) <= 1
 
 
-def _popcount_values(s: int, size: int) -> Iterator[int]:
-    # Gosper iteration: ascending integers with exactly `size` of the low s bits set.
-    if size == 0:
-        yield 0
-        return
-    x = (1 << size) - 1
-    top = 1 << s
-    while x < top:
-        yield x
-        c = x & -x
-        r = x + c
-        x = (((r ^ x) >> 2) // c) | r
-
-
 @lru_cache(maxsize=None)
 def _friendly_label_bits(mask: int) -> tuple[int, ...]:
-    """All friendly label bitsets over the vertices in mask, per popcount class ascending."""
+    """All friendly label bitsets over the vertices in mask, per popcount class ascending.
+
+    Built by Pascal's rule on the positions of mask, as _label_columns builds
+    its columns: in ascending order, the k-subsets of the first t positions
+    are the k-subsets of the first t - 1, then the (k - 1)-subsets of the
+    first t - 1 with position t added."""
     positions = list(iter_bits(mask))
     s = len(positions)
-    sizes = (s // 2,) if s % 2 == 0 else (s // 2, s - s // 2)
-    out = []
-    for size in sizes:
-        for compact in _popcount_values(s, size):
-            v = 0
-            for b in iter_bits(compact):
-                v |= 1 << positions[b]
-            out.append(v)
-    return tuple(out)
+    half = s // 2
+    top = s - half
+    row: list[tuple[int, ...]] = [(0,)]  # per k: the k-subsets of the first t positions
+    for t, p in enumerate(positions, 1):
+        bit = 1 << p
+        row = [
+            (row[k] if k < t else ()) + (tuple(x | bit for x in row[k - 1]) if k else ())
+            for k in range(min(t, top) + 1)
+        ]
+    return row[half] + (row[top] if top != half else ())
 
 
 def _edge_masks(n: int, labels: int) -> tuple[int, int]:

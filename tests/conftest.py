@@ -13,7 +13,10 @@ from ``membership_bitmap``, which has its own tests against per-graph
 decisions.  The canonical-key oracle is the permutation minimum the
 least-bitset search replaced, and the enumeration oracle is the subset walk
 that level-by-level extension replaced; it takes its keys from
-``_canonical_key_bits``, which is tested against the former.  The
+``_canonical_key_bits``, which is tested against the former.  The extension
+oracle adds every absent edge to every representative of the level below,
+the loop that one edge per pair of twin classes replaced.  The
+friendly-table oracle is the Gosper iteration that Pascal's rule replaced.  The
 empirical-maximum oracle is the labeled-subset walk that the scan over
 isomorphism classes replaced; it decides with ``_decide_bits``, so it checks
 the route through the classes and the least-key witness, not the decider."""
@@ -23,7 +26,15 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
-from cordia import BudgetError, CanonicalKey, Graph, GraphProperty, edge_slots, membership_bitmap
+from cordia import (
+    BudgetError,
+    CanonicalKey,
+    Graph,
+    GraphProperty,
+    edge_slots,
+    enumerate_graphs,
+    membership_bitmap,
+)
 from cordia.graphs import (
     SUBSET_BUDGET,
     _canonical_key_bits,
@@ -191,6 +202,42 @@ def oracle_enumerate_keys(n: int, m: int) -> list[CanonicalKey]:
     for combo in combinations(range(edge_slots(n)), m):
         keys.add(_canonical_key_bits(n, sum(1 << k for k in combo)))
     return sorted(keys)
+
+
+def oracle_extend_level(n: int, m: int) -> tuple[Graph, ...]:
+    """Level m built by keying every absent edge of every representative of
+    enumerate_graphs(n, m - 1), sorted by canonical key."""
+    slots = edge_slots(n)
+    keys = {
+        _canonical_key_bits(n, g.edges | 1 << k)
+        for g in enumerate_graphs(n, m - 1)
+        for k in range(slots)
+        if not g.edges >> k & 1
+    }
+    return tuple(canonical_representative(key, n) for key in sorted(keys))
+
+
+def oracle_friendly_label_bits(mask: int) -> tuple[int, ...]:
+    """Friendly label bitsets over the vertices in mask, per popcount class
+    ascending, by Gosper iteration over the compact positions."""
+    positions = list(iter_bits(mask))
+    s = len(positions)
+    sizes = (s // 2,) if s % 2 == 0 else (s // 2, s - s // 2)
+    out = []
+    for size in sizes:
+        if size == 0:
+            out.append(0)
+            continue
+        x = (1 << size) - 1
+        while x < 1 << s:
+            v = 0
+            for b in iter_bits(x):
+                v |= 1 << positions[b]
+            out.append(v)
+            c = x & -x
+            r = x + c
+            x = (((r ^ x) >> 2) // c) | r
+    return tuple(out)
 
 
 def oracle_empirical_max(prop: GraphProperty, n: int) -> tuple[int, Graph]:

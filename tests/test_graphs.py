@@ -32,13 +32,21 @@ from cordia import (
     to_graph6,
     union,
 )
-from cordia.graphs import incident_masks, iter_bits, pair_table
+from cordia.graphs import (
+    _canonical_key_bits,
+    _extension_slots,
+    _twin_classes,
+    incident_masks,
+    iter_bits,
+    pair_table,
+)
 
 from conftest import (
     brute_isomorphic,
     burnside_graph_count,
     oracle_canonical_bits,
     oracle_enumerate_keys,
+    oracle_extend_level,
 )
 
 graphs_st = st.integers(2, 7).flatmap(
@@ -187,6 +195,63 @@ def test_enumerate_counts_match_orbit_counting():
 def test_enumerate_matches_subset_walk_oracle(n, m):
     want = [canonical_representative(key, n) for key in oracle_enumerate_keys(n, m)]
     assert list(enumerate_graphs(n, m)) == want
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(n, m) for n in range(2, 8) for m in range(1, edge_slots(n) + 1)] + [(8, m) for m in range(1, 7)],
+)
+def test_enumerate_matches_full_extension_oracle(n, m):
+    assert enumerate_graphs(n, m) == oracle_extend_level(n, m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_extension_keys_one_absent_edge_per_pair_of_twin_classes(n):
+    for m in range(edge_slots(n) + 1):
+        for g in enumerate_graphs(n, m):
+            nbrs = [set() for _ in range(n)]
+            for i, j in g.edge_list():
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+            lead = _twin_classes(g)
+            for u in range(n):
+                for v in range(n):
+                    twins = nbrs[u] - {v} == nbrs[v] - {u}
+                    assert twins == (lead[u] == lead[v]), (g, u, v)
+                    if twins:
+                        swap = list(range(n))
+                        swap[u], swap[v] = v, u
+                        assert relabel(g, tuple(swap)) == g, (g, u, v)
+            pt = pair_table(n)
+            joined = {
+                frozenset((lead[i], lead[j]))
+                for k, (i, j) in enumerate(pt)
+                if not g.edges >> k & 1
+            }
+            slots = _extension_slots(g)
+            assert all(not g.edges >> k & 1 for k in slots), g
+            picked = [frozenset((lead[pt[k][0]], lead[pt[k][1]])) for k in slots]
+            assert len(picked) == len(set(picked)) and set(picked) == joined, g
+
+
+def test_enumerate_key_calls(monkeypatch):
+    # Deterministic work counts of cold extension: every absent edge took
+    # 2,200 and 1,048 calls.
+    calls = 0
+
+    def counted(n, bits):
+        nonlocal calls
+        calls += 1
+        return _canonical_key_bits(n, bits)
+
+    monkeypatch.setattr("cordia.graphs._canonical_key_bits", counted)
+    counts = []
+    for n, m in [(7, 8), (8, 6)]:
+        enumerate_graphs.cache_clear()
+        calls = 0
+        enumerate_graphs(n, m)
+        counts.append(calls)
+    assert counts == [1271, 366]
 
 
 def test_enumerate_level_counts_on_four_vertices():

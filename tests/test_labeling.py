@@ -50,6 +50,7 @@ from conftest import (
     brute_sum_cordial,
     oracle_check_scan,
     oracle_edge_masks,
+    oracle_friendly_label_bits,
     support_vertices,
 )
 
@@ -455,6 +456,19 @@ def test_edgeless_graphs_are_rejected():
             has_property(g, prop)
     with pytest.raises(ValueError):
         list(friendly_vertex_labelings(g))
+
+
+@pytest.mark.parametrize("s", range(MAX_VERTICES + 1))
+def test_friendly_label_bits_match_gosper_oracle_on_full_masks(s):
+    mask = (1 << s) - 1
+    assert _friendly_label_bits(mask) == oracle_friendly_label_bits(mask)
+
+
+def test_friendly_label_bits_match_gosper_oracle_on_seeded_masks():
+    rng = random.Random(9)
+    for _ in range(200):
+        mask = rng.getrandbits(MAX_VERTICES)
+        assert _friendly_label_bits(mask) == oracle_friendly_label_bits(mask), mask
 
 
 def test_friendly_label_bits_ordering_is_stable():
