@@ -134,7 +134,13 @@ def _cmd_enumerate(args) -> tuple[dict, dict, int]:
 
 def _cmd_preservers(args) -> tuple[dict, dict, int]:
     prop = GraphProperty(args.property)
-    workers = args.workers if args.workers is not None else int(os.environ.get("CORDIA_WORKERS", "1"))
+    workers = args.workers
+    if workers is None:
+        raw = os.environ.get("CORDIA_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"CORDIA_WORKERS must be an integer, got {raw!r}") from None
     inputs = {
         # Exhaustive mode checks every bijection and ignores the count.
         "count": None if args.mode == "exhaustive" else args.count,

@@ -24,10 +24,14 @@ kernel built on that view:
   partial map is dropped at the first graph it changes.
 - Exact vertex-only search runs every vertex map through the table check.
 
-Sample mode keeps its own scan: it checks graphs in ``_scan_pairs`` order
-(mixed-membership edge-count levels first, non-members leading) and records
-the first mismatch in that order, since nearly every sampled bijection fails
-on the first graph it scans.
+Sample mode keeps its own scan, since nearly every sampled bijection fails
+on one of the first graphs it checks.  A bijection keeps edge counts, so only
+edge-count levels of mixed membership can show a mismatch: ``_scan_order``
+lists their graphs level by level, non-members leading, and a failure records
+the first mismatch in that order.  The draws depend on the seed and the
+indices, not on the property, so a process keeps its last set of edge maps
+(``_sample_draws``) for the next search, and the failures of one search share
+one ``Graph`` per distinct counterexample.
 """
 
 from __future__ import annotations
@@ -305,41 +309,38 @@ def strongly_preserves(op: LinearOperator, prop: GraphProperty) -> PreserverVerd
 
 
 @lru_cache(maxsize=None)
-def _edge_list_table(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(iter_bits(g)) for g in range(1 << edge_slots(n)))
-
-
-@lru_cache(maxsize=None)
-def _scan_pairs(n: int, prop: GraphProperty) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(graph bitset, edge list) pairs covering every nonempty graph, ordered so
-    that bijection mismatches surface early: edge-count levels of mixed
-    membership come first, non-members leading; uniform levels follow.  A
-    bijection preserves edge counts, so uniform levels only matter for the
-    final full verification of survivors."""
-    bm = membership_bitmap(n, prop)
+def _scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
+    """(flags, order) for sample mode: flags[g] is "1" iff graph g is a member,
+    and order lists the graphs on the edge-count levels of mixed membership,
+    level by level, non-members leading.  A bijection keeps edge counts, so
+    no graph on a uniform level can change membership under one."""
+    slots = edge_slots(n)
+    flags = format(membership_bitmap(n, prop), f"0{1 << slots}b")[::-1]
     levels: dict[int, tuple[list[int], list[int]]] = {}
-    for g in range(1, 1 << edge_slots(n)):
-        levels.setdefault(g.bit_count(), ([], []))[bm >> g & 1].append(g)
-    mixed, uniform = [], []
+    for g in range(1, 1 << slots):
+        levels.setdefault(g.bit_count(), ([], []))[flags[g] == "1"].append(g)
+    order: list[int] = []
     for m in sorted(levels):
         non, mem = levels[m]
-        (mixed if non and mem else uniform).append((non, mem))
-    order: list[int] = []
-    for non, mem in mixed + uniform:
-        order.extend(non)
-        order.extend(mem)
-    table = _edge_list_table(n)
-    return tuple((g, table[g]) for g in order)
+        if non and mem:
+            order.extend(non)
+            order.extend(mem)
+    return flags, tuple(order)
 
 
-def _bijection_counterexample(pi, pairs, bm) -> int | None:
-    for g, ks in pairs:
-        img = 0
-        for k in ks:
-            img |= 1 << pi[k]
-        if (bm >> g ^ bm >> img) & 1:
-            return g
-    return None
+@lru_cache(maxsize=1)
+def _sample_draws(slots: int, seed: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """Edge maps of sample indices lo..hi-1.  Index i draws from its own
+    stream, seeded "{seed}:{i}", so a map does not depend on chunking.  The
+    maps do not depend on the property either, so the last set is kept for
+    the next search on the same slots, seed and indices."""
+    rng = random.Random()
+    population = range(slots)
+    draws = []
+    for i in range(lo, hi):
+        rng.seed(f"{seed}:{i}")
+        draws.append(tuple(rng.sample(population, slots)))
+    return tuple(draws)
 
 
 @lru_cache(maxsize=None)
@@ -444,26 +445,22 @@ def _search_exhaustive(n: int, prop: GraphProperty) -> SearchReport:
 
 def _sample_chunk(args) -> tuple[int, list, list]:
     n, prop_name, seed, lo, hi = args
-    prop = GraphProperty(prop_name)
-    pairs = _scan_pairs(n, prop)
-    bm = membership_bitmap(n, prop)
+    flags, order = _scan_order(n, GraphProperty(prop_name))
     vset = _vertex_induced_set(n)
-    slots = edge_slots(n)
     discarded = 0
     passing = []
     failures = []
-    for i in range(lo, hi):
-        # One stream per index keeps results independent of chunking.
-        rng = random.Random(f"{seed}:{i}")
-        pi = tuple(rng.sample(range(slots), slots))
+    for i, pi in enumerate(_sample_draws(edge_slots(n), seed, lo, hi), lo):
         if pi in vset:
             discarded += 1
             continue
-        cex = _bijection_counterexample(pi, pairs, bm)
-        if cex is None:
-            passing.append((i, pi))
+        images = [1 << t for t in pi]
+        for g in order:
+            if flags[g] != flags[_apply_bits(images, g)]:
+                failures.append((i, pi, g))
+                break
         else:
-            failures.append((i, pi, cex))
+            passing.append((i, pi))
     return discarded, passing, failures
 
 
@@ -472,21 +469,19 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int, workers:
         raise BudgetError(f"sampled search is capped at n={MEMBERSHIP_VERTEX_LIMIT}")
     if count < 1:
         raise ValueError("sample count must be positive")
-    membership_bitmap(n, prop)
-    _scan_pairs(n, prop)
+    _scan_order(n, prop)
     _vertex_induced_set(n)
-    if workers > 1:
-        step = -(-count // workers)
-        chunks = [(n, prop.value, seed, lo, min(lo + step, count)) for lo in range(0, count, step)]
-        with get_context("fork").Pool(workers) as pool:
+    step = -(-count // workers)
+    chunks = [(n, prop.value, seed, lo, min(lo + step, count)) for lo in range(0, count, step)]
+    if len(chunks) > 1:
+        with get_context("fork").Pool(len(chunks)) as pool:
             parts = pool.map(_sample_chunk, chunks)
     else:
-        parts = [_sample_chunk((n, prop.value, seed, 0, count))]
+        parts = [_sample_chunk(chunks[0])]
     discarded = sum(p[0] for p in parts)
     passing = [pi for p in parts for _, pi in p[1]]
-    failures = tuple(
-        SampleFailure(i, pi, Graph(n, cex)) for p in parts for i, pi, cex in p[2]
-    )
+    graphs = {g: Graph(n, g) for g in {g for p in parts for _, _, g in p[2]}}
+    failures = tuple(SampleFailure(i, pi, graphs[g]) for p in parts for i, pi, g in p[2])
     ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
     return SearchReport(n, prop, "sample", count, ops, discarded, failures)
 
@@ -499,9 +494,7 @@ def confirmed_failures(report: SearchReport) -> int:
     confirmed = 0
     for failure in report.failures:
         g = failure.counterexample.edges
-        img = 0
-        for k in iter_bits(g):
-            img |= 1 << failure.edge_map[k]
+        img = _apply_bits([1 << t for t in failure.edge_map], g)
         confirmed += (bm >> g ^ bm >> img) & 1
     return confirmed
 
@@ -536,13 +529,10 @@ def _search_vertex_only(n: int, prop: GraphProperty, count: int, seed: int) -> S
             seen.add(g)
             samples.append(g)
     member = {g: _decide_bits(n, g, prop) for g in samples}
-    table = {g: tuple(iter_bits(g)) for g in samples}
-    for sigma, pi in maps.items():
+    for pi in maps.values():
+        images = [1 << t for t in pi]
         for g in samples:
-            img = 0
-            for k in table[g]:
-                img |= 1 << pi[k]
-            if _decide_bits(n, img, prop) != member[g]:
+            if _decide_bits(n, _apply_bits(images, g), prop) != member[g]:
                 failures.append(SampleFailure(-1, pi, Graph(n, g)))
                 break
     return SearchReport(n, prop, "vertex-only", total, (), failures=tuple(failures))
@@ -573,7 +563,11 @@ def search_strong_preservers(
       test that rather than the preserver theorem.
     - "sample" draws `count` seeded random edge bijections, discards the
       vertex-induced ones, and records for every failure the first mismatch
-      in the scan order of ``_scan_pairs``, which need not be the least one.
+      in the scan order of ``_scan_order``, which need not be the least one.
+      The scan covers only the edge-count levels of mixed membership, the
+      only ones a bijection can change.  The draws do not depend on the
+      property, so a process keeps the last set for the next search with
+      the same n, seed, count and workers.
 
     n < 0, workers < 1 and a negative count are usage errors (ValueError).
     """

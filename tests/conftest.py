@@ -19,10 +19,15 @@ the loop that one edge per pair of twin classes replaced.  The
 friendly-table oracle is the Gosper iteration that Pascal's rule replaced.  The
 empirical-maximum oracle is the labeled-subset walk that the scan over
 isomorphism classes replaced; it decides with ``_decide_bits``, so it checks
-the route through the classes and the least-key witness, not the decider."""
+the route through the classes and the least-key witness, not the decider.
+The sample oracle is sample mode before its draws were shared and its scan
+was cut to the mixed edge-count levels: a fresh draw per call, every nonempty
+graph in the scan order, and one ``Graph`` per failure."""
 
 from __future__ import annotations
 
+import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -54,6 +59,12 @@ from cordia.labeling import (
     _passing,
     _probe,
     _witness_orientation,
+)
+from cordia.preserver import (
+    SampleFailure,
+    SearchReport,
+    _operator_from_edge_map,
+    _vertex_induced_set,
 )
 
 
@@ -354,3 +365,66 @@ def oracle_exhaustive_survivors(n: int, prop) -> list[tuple[int, ...]]:
         else:
             passing.append(pi)
     return passing
+
+
+@lru_cache(maxsize=None)
+def _edge_list_table(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(iter_bits(g)) for g in range(1 << edge_slots(n)))
+
+
+@lru_cache(maxsize=None)
+def _scan_pairs(n: int, prop: GraphProperty) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(graph bitset, edge list) pairs covering every nonempty graph, ordered so
+    that bijection mismatches surface early: edge-count levels of mixed
+    membership come first, non-members leading; uniform levels follow."""
+    bm = membership_bitmap(n, prop)
+    levels: dict[int, tuple[list[int], list[int]]] = {}
+    for g in range(1, 1 << edge_slots(n)):
+        levels.setdefault(g.bit_count(), ([], []))[bm >> g & 1].append(g)
+    mixed, uniform = [], []
+    for m in sorted(levels):
+        non, mem = levels[m]
+        (mixed if non and mem else uniform).append((non, mem))
+    order: list[int] = []
+    for non, mem in mixed + uniform:
+        order.extend(non)
+        order.extend(mem)
+    table = _edge_list_table(n)
+    return tuple((g, table[g]) for g in order)
+
+
+def _bijection_counterexample(pi, pairs, bm) -> int | None:
+    for g, ks in pairs:
+        img = 0
+        for k in ks:
+            img |= 1 << pi[k]
+        if (bm >> g ^ bm >> img) & 1:
+            return g
+    return None
+
+
+def oracle_sample_report(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:
+    """search_strong_preservers(n, prop, "sample", count, seed): each index i
+    draws its edge map from a fresh random.Random(f"{seed}:{i}"), and each
+    non-vertex map is scanned over every nonempty graph in _scan_pairs order
+    until its first mismatch."""
+    pairs = _scan_pairs(n, prop)
+    bm = membership_bitmap(n, prop)
+    vset = _vertex_induced_set(n)
+    slots = edge_slots(n)
+    discarded = 0
+    passing = []
+    failures = []
+    for i in range(count):
+        rng = random.Random(f"{seed}:{i}")
+        pi = tuple(rng.sample(range(slots), slots))
+        if pi in vset:
+            discarded += 1
+            continue
+        cex = _bijection_counterexample(pi, pairs, bm)
+        if cex is None:
+            passing.append(pi)
+        else:
+            failures.append(SampleFailure(i, pi, Graph(n, cex)))
+    ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
+    return SearchReport(n, prop, "sample", count, ops, discarded, tuple(failures))

@@ -286,6 +286,15 @@ def test_preservers_nonpositive_workers_is_a_usage_error(capsys):
     assert_usage_error(capsys, "--n", "4", "--mode", "sample", "--count", "10", "--workers", "0")
 
 
+def test_preservers_bad_workers_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CORDIA_WORKERS", "abc")
+    code, payload = invoke(capsys, "preservers", "--property", "sum", "--n", "4", "--mode", "sample")
+    assert code == 2
+    assert payload["error"]["kind"] == "usage"
+    assert payload["error"]["message"] == "CORDIA_WORKERS must be an integer, got 'abc'"
+    assert "result" not in payload
+
+
 def test_preservers_negative_count_is_a_usage_error(capsys):
     assert_usage_error(capsys, "--n", "7", "--mode", "vertex-only", "--count", "-5")
 

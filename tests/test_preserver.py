@@ -4,6 +4,7 @@ import dataclasses
 from itertools import permutations
 from math import factorial
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -38,12 +39,19 @@ from cordia import (
     union,
     vertex_permutation_operator,
 )
-from conftest import oracle_exhaustive_survivors, oracle_strongly_preserves
+from conftest import (
+    _scan_pairs,
+    oracle_exhaustive_survivors,
+    oracle_sample_report,
+    oracle_strongly_preserves,
+)
 from cordia.graphs import pair_table
 from cordia.preserver import (
     SampleFailure,
     _operator_from_edge_map,
     _pruned_bijections,
+    _sample_draws,
+    _scan_order,
     _vertex_edge_maps,
     confirmed_failures,
 )
@@ -417,6 +425,106 @@ def test_sample_mode_workers_agree():
     solo = search_strong_preservers(5, GraphProperty.SUM, "sample", count=60, seed=3, workers=1)
     duo = search_strong_preservers(5, GraphProperty.SUM, "sample", count=60, seed=3, workers=2)
     assert solo == duo
+
+
+@pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sample_mode_matches_oracle(n, prop):
+    for seed in (0, 7):
+        for count in (1, 50, 300):
+            want = oracle_sample_report(n, prop, count, seed)
+            for workers in (1, 2):
+                got = search_strong_preservers(
+                    n, prop, "sample", count=count, seed=seed, workers=workers
+                )
+                assert got == want, (seed, count, workers)
+
+
+def test_sample_draws_are_keyed_by_slots_seed_and_indices():
+    # Each step repeats a seed after a search that differs in one respect;
+    # the last column says whether the process may reuse its kept draws.
+    # With workers=2 the chunks are drawn in the workers, never here.
+    steps = [
+        (6, GraphProperty.SUM, 50, 3, 1, False),
+        (6, GraphProperty.PRODUCT, 50, 3, 1, True),  # another property
+        (6, GraphProperty.PRODUCT, 60, 3, 1, False),  # another count
+        (5, GraphProperty.PRODUCT, 60, 3, 1, False),  # another n
+        (5, GraphProperty.SUM, 60, 3, 2, False),  # the same draws, chunked
+        (5, GraphProperty.ORIENT23, 60, 3, 1, True),  # after a workers=2 run
+        (5, GraphProperty.ORIENT23, 60, 4, 1, False),  # another seed
+        (5, GraphProperty.SUM, 60, 4, 2, False),
+    ]
+    _sample_draws.cache_clear()
+    for n, prop, count, seed, workers, hit in steps:
+        hits = _sample_draws.cache_info().hits
+        got = search_strong_preservers(n, prop, "sample", count=count, seed=seed, workers=workers)
+        assert got == oracle_sample_report(n, prop, count, seed), (n, prop, count, seed, workers)
+        assert _sample_draws.cache_info().hits == hits + hit
+
+
+def test_sample_failures_share_draws_and_counterexample_graphs():
+    report = search_strong_preservers(6, GraphProperty.PRODUCT, "sample", count=300, seed=5)
+    draws = _sample_draws(edge_slots(6), 5, 0, 300)
+    assert all(f.edge_map is draws[f.index] for f in report.failures)
+    graphs = {f.counterexample.edges: f.counterexample for f in report.failures}
+    assert all(f.counterexample is graphs[f.counterexample.edges] for f in report.failures)
+    assert len(graphs) < len(report.failures)
+
+
+@pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
+@pytest.mark.parametrize("n", range(0, 7))
+def test_scan_order_is_the_mixed_prefix_of_the_full_scan(n, prop):
+    bm = membership_bitmap(n, prop)
+    flags, order = _scan_order(n, prop)
+    assert flags == "".join(str(bm >> g & 1) for g in range(1 << edge_slots(n)))
+    full = [g for g, _ in _scan_pairs(n, prop)]
+    assert tuple(full[: len(order)]) == order
+    # Every graph after the prefix sits on a level of one membership.
+    uniform = {}
+    for g in full[len(order):]:
+        assert uniform.setdefault(g.bit_count(), bm >> g & 1) == bm >> g & 1
+    assert not {g.bit_count() for g in order} & set(uniform)
+
+
+def test_scan_order_levels_at_six():
+    levels = {
+        prop: sorted({g.bit_count() for g in _scan_order(6, prop)[1]}) for prop in GraphProperty
+    }
+    assert levels == {
+        GraphProperty.SUM: [2, 4, 6, 8, 10, 12],
+        GraphProperty.PRODUCT: [4, 5, 6, 7],
+        GraphProperty.ORIENT23: [3, 6, 9, 12],
+    }
+    for n in range(6):
+        assert _scan_order(n, GraphProperty.ORIENT23)[1] == ()
+
+
+def test_sample_pool_is_sized_to_its_chunks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    def fake_context(method):
+        assert method == "fork"
+        return SimpleNamespace(Pool=SerialPool)
+
+    monkeypatch.setattr(preserver_module, "get_context", fake_context)
+    for count, workers, size in [(5, 64, 5), (5, 4, 3), (60, 4, 4), (1, 8, None), (7, 1, None)]:
+        sizes.clear()
+        got = search_strong_preservers(5, GraphProperty.SUM, "sample", count=count, seed=2, workers=workers)
+        assert got == oracle_sample_report(5, GraphProperty.SUM, count, 2)
+        assert sizes == ([] if size is None else [size]), (count, workers)
 
 
 def test_sample_mode_requires_count():
