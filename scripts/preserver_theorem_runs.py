@@ -36,7 +36,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sample-count", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1, help="checked (at least 1) but starts no process"
+    )
     args = parser.parse_args()
 
     t = time.perf_counter()

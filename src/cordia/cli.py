@@ -249,7 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--count", type=int, default=1000, help="sample size (sample mode)")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument(
-        "--workers", type=int, default=None, help="parallel workers (default CORDIA_WORKERS or 1)"
+        "--workers",
+        type=int,
+        default=None,
+        help="checked (at least 1) but starts no process; default CORDIA_WORKERS or 1",
     )
 
     oc = sub.add_parser("operator-check", parents=[common], help="test one operator table")

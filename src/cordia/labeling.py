@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError
 from .graphs import MAX_VERTICES, Graph, edge_slots, incident_masks, iter_bits
@@ -94,26 +94,31 @@ def is_k_friendly(counts: Sequence[int], k: int) -> bool:
     return max(vals) - min(vals) <= 1
 
 
-@lru_cache(maxsize=None)
-def _friendly_label_bits(mask: int) -> tuple[int, ...]:
-    """All friendly label bitsets over the vertices in mask, per popcount class ascending.
+def _friendly_entries(steps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """One entry per friendly label set over len(steps) positions, per
+    popcount class ascending.  An entry starts at 0, and each position p in
+    the set turns it from x into x ^ a | b, where (a, b) = steps[p].
 
-    Built by Pascal's rule on the positions of mask, as _label_columns builds
-    its columns: in ascending order, the k-subsets of the first t positions
-    are the k-subsets of the first t - 1, then the (k - 1)-subsets of the
-    first t - 1 with position t added."""
-    positions = list(iter_bits(mask))
-    s = len(positions)
+    Built by Pascal's rule, as _label_columns builds its columns: in
+    ascending order, the k-subsets of the first t positions are the
+    k-subsets of the first t - 1, then the (k - 1)-subsets of the first
+    t - 1 with position t added."""
+    s = len(steps)
     half = s // 2
     top = s - half
-    row: list[tuple[int, ...]] = [(0,)]  # per k: the k-subsets of the first t positions
-    for t, p in enumerate(positions, 1):
-        bit = 1 << p
+    row: list[tuple[int, ...]] = [(0,)]  # per k: the entries of the k-subsets of the first t positions
+    for t, (a, b) in enumerate(steps, 1):
         row = [
-            (row[k] if k < t else ()) + (tuple(x | bit for x in row[k - 1]) if k else ())
+            (row[k] if k < t else ()) + (tuple(x ^ a | b for x in row[k - 1]) if k else ())
             for k in range(min(t, top) + 1)
         ]
     return row[half] + (row[top] if top != half else ())
+
+
+@lru_cache(maxsize=None)
+def _friendly_label_bits(mask: int) -> tuple[int, ...]:
+    """All friendly label bitsets over the vertices in mask, per popcount class ascending."""
+    return _friendly_entries(tuple((0, 1 << p) for p in iter_bits(mask)))
 
 
 def _edge_masks(n: int, labels: int) -> tuple[int, int]:
@@ -131,13 +136,15 @@ def _edge_masks(n: int, labels: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _label_masks(n: int, support: int) -> tuple[int, ...]:
     """ones | cross << C(n,2) for every friendly labeling of the support, in
-    _friendly_label_bits order: the 1-1 edges low, the cross edges high."""
+    _friendly_label_bits order: the 1-1 edges low, the cross edges high.
+
+    Each entry is built as seen | cross << C(n,2) over the labeled vertices'
+    incident slots, as in _edge_masks: a labeled vertex ORs its slots into
+    seen and XORs them into cross.  The 1-1 edges are then seen & ~cross."""
     shift = edge_slots(n)
-    out = []
-    for lab in _friendly_label_bits(support):
-        cross, ones = _edge_masks(n, lab)
-        out.append(ones | cross << shift)
-    return tuple(out)
+    inc = incident_masks(n)
+    packed = _friendly_entries(tuple((inc[v] << shift, inc[v]) for v in iter_bits(support)))
+    return tuple(x & ~(x >> shift) for x in packed)
 
 
 def _support_of_bits(n: int, bits: int) -> int:
@@ -286,18 +293,11 @@ def _label_columns(s: int) -> tuple[int, ...]:
     return cols
 
 
-def _count_planes(g: Graph, prop: GraphProperty, cols: tuple[int, ...], positions: list[int]) -> list[int]:
-    """Bit-sliced counts (Knuth, TAOCP 4A, 7.1.3) of the edge class prop
-    probes, in every lane of cols at once: plane k holds bit k of each lane's
-    count.  An edge adds col_u & col_v to the 1-1 count of product and
-    col_u ^ col_v to the cross count otherwise, by ripple carry."""
-    rank = {v: r for r, v in enumerate(positions)}
-    product = prop is _PRODUCT
+def _sliced_sum(terms: Iterable[int]) -> list[int]:
+    """Bit-sliced sum (Knuth, TAOCP 4A, 7.1.3) of one-bit terms in every lane
+    at once: plane k holds bit k of each lane's count, added by ripple carry."""
     planes: list[int] = []
-    for i, j in g.edge_list():
-        a = cols[rank[i]]
-        b = cols[rank[j]]
-        carry = a & b if product else a ^ b
+    for carry in terms:
         for k, p in enumerate(planes):
             planes[k] = p ^ carry
             carry &= p
@@ -307,6 +307,29 @@ def _count_planes(g: Graph, prop: GraphProperty, cols: tuple[int, ...], position
             if carry:
                 planes.append(carry)
     return planes
+
+
+def _lanes_counting(planes: list[int], counts: int, full: int) -> int:
+    """The lanes of full whose count in planes is one of the bits of counts."""
+    hits = 0
+    for c in iter_bits(counts):
+        if c >> len(planes):
+            break  # no lane counts this high
+        eq = full
+        for k, p in enumerate(planes):
+            eq &= p if c >> k & 1 else ~p
+        hits |= eq
+    return hits
+
+
+def _count_planes(g: Graph, prop: GraphProperty, cols: tuple[int, ...], positions: list[int]) -> list[int]:
+    """Bit-sliced counts of the edge class prop probes, in every lane of cols
+    at once.  An edge adds col_u & col_v to the 1-1 count of product and
+    col_u ^ col_v to the cross count otherwise."""
+    rank = {v: r for r, v in enumerate(positions)}
+    if prop is _PRODUCT:
+        return _sliced_sum(cols[rank[i]] & cols[rank[j]] for i, j in g.edge_list())
+    return _sliced_sum(cols[rank[i]] ^ cols[rank[j]] for i, j in g.edge_list())
 
 
 def _check(g: Graph, prop: GraphProperty, support: int) -> Verdict:
@@ -319,15 +342,7 @@ def _check(g: Graph, prop: GraphProperty, support: int) -> Verdict:
     size = comb(s, s // 2)  # entries per popcount class
     lanes = size << (s & 1)
     planes = _count_planes(g, prop, cols, positions)
-    full = (1 << lanes) - 1
-    hits = 0
-    for c in iter_bits(_passing(prop, g.edge_count)):
-        if c >> len(planes):
-            break  # no lane counts this high
-        eq = full
-        for k, p in enumerate(planes):
-            eq &= p if c >> k & 1 else ~p
-        hits |= eq
+    hits = _lanes_counting(planes, _passing(prop, g.edge_count), (1 << lanes) - 1)
     # Each popcount class ascends, and putting entries on the support keeps
     # their order, so the least witness is the least of the classes' first hits.
     best = None

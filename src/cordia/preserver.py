@@ -9,8 +9,12 @@ graph, equivalently the operator preserves the class and its complement.
 Verification works against precomputed membership tables over all 2^C(n,2)
 graphs, which is why the strong-preservation checks stop at n = 6.  A table
 is the truth table of a Boolean function of the C(n,2) edge variables, and
-an edge bijection permutes those variables.  The exact paths share one
-kernel built on that view:
+an edge bijection permutes those variables.  Tables are built from that view
+too, with no decision per graph: ``membership_bitmap`` counts each label
+set's probed edge class in every graph at once by bit-sliced addition of the
+edge variables (Knuth, TAOCP 4A, 7.1.3), and combines the passing counts
+with the edge-count levels and the support of each graph.  The exact paths
+share one kernel:
 
 - ``strongly_preserves`` applies a bijection's variable permutation to the
   whole table with one delta swap per transposition (Knuth, TAOCP 4A,
@@ -29,9 +33,10 @@ on one of the first graphs it checks.  A bijection keeps edge counts, so only
 edge-count levels of mixed membership can show a mismatch: ``_scan_order``
 lists their graphs level by level, non-members leading, and a failure records
 the first mismatch in that order.  The draws depend on the seed and the
-indices, not on the property, so a process keeps its last set of edge maps
+count, not on the property, so a process keeps its last set of edge maps
 (``_sample_draws``) for the next search, and the failures of one search share
-one ``Graph`` per distinct counterexample.
+one ``Graph`` per distinct counterexample.  Every search runs in the calling
+process: a scan costs less than starting a worker would.
 """
 
 from __future__ import annotations
@@ -41,12 +46,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt
-from multiprocessing import get_context
 from typing import NamedTuple
 
 from .errors import BudgetError
-from .graphs import Graph, edge_index, edge_slots, iter_bits, pair_table
-from .labeling import GraphProperty, _decide_bits
+from .graphs import Graph, edge_index, edge_slots, incident_masks, iter_bits, pair_table
+from .labeling import (
+    GraphProperty,
+    _decide_bits,
+    _edge_masks,
+    _friendly_label_bits,
+    _lanes_counting,
+    _passing,
+    _sliced_sum,
+)
 
 EXHAUSTIVE_BIJECTION_BUDGET = 4_000_000
 SURVIVOR_BUDGET = 100_000
@@ -222,36 +234,85 @@ def idempotent_power(op: LinearOperator) -> tuple[LinearOperator, int]:
 # membership tables and strong preservation
 
 @lru_cache(maxsize=None)
+def _edge_variable(slots: int, k: int) -> int:
+    """Truth table of edge variable k over the graphs g < 2^slots: blocks of
+    2^k clear then 2^k set positions, exactly the g with bit k set."""
+    width = 1 << k
+    return ((1 << (1 << slots)) - 1) // ((1 << width) + 1) << width
+
+
+@lru_cache(maxsize=None)
+def _level_tables(slots: int) -> tuple[int, ...]:
+    """Per edge count m = 0..slots, the truth table of the graphs with m edges,
+    read off one bit-sliced sum of the edge variables."""
+    planes = _sliced_sum(_edge_variable(slots, k) for k in range(slots))
+    full = (1 << (1 << slots)) - 1
+    return tuple(_lanes_counting(planes, 1 << m, full) for m in range(slots + 1))
+
+
+@lru_cache(maxsize=None)
 def membership_bitmap(n: int, prop: GraphProperty) -> int:
-    """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member."""
+    """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member.
+
+    Built from whole tables: a graph g with support S is a member when some
+    friendly label set L of S puts a passing count of g's edges in the class
+    prop probes (see labeling._passing).  For each L, a bit-sliced sum of
+    that class's edge variables counts it in every graph at once; pass[L] is
+    where the count passes at the graph's own edge count.  pass[L] does not
+    depend on S, and L and its complement cut the same cross edges, so sum
+    and orient23 build it once per complement pair.  The table is the OR
+    over supports S of [support(g) = S] AND the OR of pass[L] over L."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MEMBERSHIP_VERTEX_LIMIT:
         raise BudgetError(f"membership tables are kept only up to n={MEMBERSHIP_VERTEX_LIMIT}")
     slots = edge_slots(n)
-    endpoint = [(1 << i) | (1 << j) for i, j in pair_table(n)]
-    support = [0] * (1 << slots)
+    full = (1 << (1 << slots)) - 1
+    var = [_edge_variable(slots, k) for k in range(slots)]
+    # within[c]: the graphs whose edge count passes with c edges in the probed class.
+    within = [0] * (slots + 1)
+    for m, level in enumerate(_level_tables(slots)):
+        for c in iter_bits(_passing(prop, m)):
+            within[c] |= level
+    product = prop is GraphProperty.PRODUCT
+    everyone = (1 << n) - 1
+    passes: dict[int, int] = {}
+
+    def pass_table(labels: int) -> int:
+        key = labels if product else min(labels, labels ^ everyone)
+        table = passes.get(key)
+        if table is None:
+            cross, ones = _edge_masks(n, labels)
+            planes = _sliced_sum(var[k] for k in iter_bits(ones if product else cross))
+            table = 0
+            for c, ok in enumerate(within):
+                if ok:
+                    table |= _lanes_counting(planes, 1 << c, full) & ok
+            passes[key] = table
+        return table
+
+    cover = [0] * n
+    for v, inc in enumerate(incident_masks(n)):
+        for k in iter_bits(inc):
+            cover[v] |= var[k]
     bitmap = 0
-    for g in range(1, 1 << slots):
-        low = g & -g
-        sup = support[g ^ low] | endpoint[low.bit_length() - 1]
-        support[g] = sup
-        if _decide_bits(n, g, prop, sup):
-            bitmap |= 1 << g
+    for support in range(1 << n):
+        if support.bit_count() < 2:
+            continue  # the edgeless graph, and no graph has one vertex of support
+        on = full
+        for v in range(n):
+            on &= cover[v] if support >> v & 1 else ~cover[v]
+        friendly = 0
+        for labels in _friendly_label_bits(support):
+            friendly |= pass_table(labels)
+        bitmap |= on & friendly
     return bitmap
 
 
 @lru_cache(maxsize=None)
 def _swap_mask(slots: int, i: int, j: int) -> int:
     """Truth-table positions g < 2^slots with bit i of g set and bit j clear."""
-    full = (1 << (1 << slots)) - 1
-
-    def ones(k: int) -> int:
-        # Blocks of 2^k clear then 2^k set positions: exactly bit k of g set.
-        width = 1 << k
-        return full // ((1 << width) + 1) << width
-
-    return ones(i) & ~ones(j)
+    return _edge_variable(slots, i) & ~_edge_variable(slots, j)
 
 
 def _permute_table(table: int, pi: tuple[int, ...]) -> int:
@@ -329,15 +390,15 @@ def _scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1)
-def _sample_draws(slots: int, seed: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
-    """Edge maps of sample indices lo..hi-1.  Index i draws from its own
-    stream, seeded "{seed}:{i}", so a map does not depend on chunking.  The
-    maps do not depend on the property either, so the last set is kept for
-    the next search on the same slots, seed and indices."""
+def _sample_draws(slots: int, seed: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """Edge maps of sample indices 0..count-1.  Index i draws from its own
+    stream, seeded "{seed}:{i}".  The maps do not depend on the property, so
+    the last set is kept for the next search on the same slots, seed and
+    count."""
     rng = random.Random()
     population = range(slots)
     draws = []
-    for i in range(lo, hi):
+    for i in range(count):
         rng.seed(f"{seed}:{i}")
         draws.append(tuple(rng.sample(population, slots)))
     return tuple(draws)
@@ -371,11 +432,7 @@ def _too_many_survivors(n: int) -> BudgetError:
 
 def _edge_count_determined(bm: int, slots: int) -> bool:
     """True when membership is constant on every edge-count level."""
-    level: dict[int, int] = {}
-    for g in range(1 << slots):
-        if level.setdefault(g.bit_count(), bm >> g & 1) != bm >> g & 1:
-            return False
-    return True
+    return all(bm & level in (0, level) for level in _level_tables(slots))
 
 
 def _pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
@@ -443,45 +500,29 @@ def _search_exhaustive(n: int, prop: GraphProperty) -> SearchReport:
     return SearchReport(n, prop, "exhaustive", total, ops)
 
 
-def _sample_chunk(args) -> tuple[int, list, list]:
-    n, prop_name, seed, lo, hi = args
-    flags, order = _scan_order(n, GraphProperty(prop_name))
+def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:
+    if n > MEMBERSHIP_VERTEX_LIMIT:
+        raise BudgetError(f"sampled search is capped at n={MEMBERSHIP_VERTEX_LIMIT}")
+    if count < 1:
+        raise ValueError("sample count must be positive")
+    flags, order = _scan_order(n, prop)
     vset = _vertex_induced_set(n)
     discarded = 0
     passing = []
-    failures = []
-    for i, pi in enumerate(_sample_draws(edge_slots(n), seed, lo, hi), lo):
+    found = []
+    for i, pi in enumerate(_sample_draws(edge_slots(n), seed, count)):
         if pi in vset:
             discarded += 1
             continue
         images = [1 << t for t in pi]
         for g in order:
             if flags[g] != flags[_apply_bits(images, g)]:
-                failures.append((i, pi, g))
+                found.append((i, pi, g))
                 break
         else:
-            passing.append((i, pi))
-    return discarded, passing, failures
-
-
-def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int, workers: int) -> SearchReport:
-    if n > MEMBERSHIP_VERTEX_LIMIT:
-        raise BudgetError(f"sampled search is capped at n={MEMBERSHIP_VERTEX_LIMIT}")
-    if count < 1:
-        raise ValueError("sample count must be positive")
-    _scan_order(n, prop)
-    _vertex_induced_set(n)
-    step = -(-count // workers)
-    chunks = [(n, prop.value, seed, lo, min(lo + step, count)) for lo in range(0, count, step)]
-    if len(chunks) > 1:
-        with get_context("fork").Pool(len(chunks)) as pool:
-            parts = pool.map(_sample_chunk, chunks)
-    else:
-        parts = [_sample_chunk(chunks[0])]
-    discarded = sum(p[0] for p in parts)
-    passing = [pi for p in parts for _, pi in p[1]]
-    graphs = {g: Graph(n, g) for g in {g for p in parts for _, _, g in p[2]}}
-    failures = tuple(SampleFailure(i, pi, graphs[g]) for p in parts for i, pi, g in p[2])
+            passing.append(pi)
+    graphs = {g: Graph(n, g) for g in {g for _, _, g in found}}
+    failures = tuple(SampleFailure(i, pi, graphs[g]) for i, pi, g in found)
     ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
     return SearchReport(n, prop, "sample", count, ops, discarded, failures)
 
@@ -567,9 +608,11 @@ def search_strong_preservers(
       The scan covers only the edge-count levels of mixed membership, the
       only ones a bijection can change.  The draws do not depend on the
       property, so a process keeps the last set for the next search with
-      the same n, seed, count and workers.
+      the same n, seed and count.
 
-    n < 0, workers < 1 and a negative count are usage errors (ValueError).
+    Every mode runs in the calling process; `workers` is checked but starts
+    no process, so results never depend on it.  n < 0, workers < 1 and a
+    negative count are usage errors (ValueError).
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -578,7 +621,7 @@ def search_strong_preservers(
     if mode == "sample":
         if count is None:
             raise ValueError("sample mode needs a count")
-        return _search_sampled(n, prop, count, seed, workers)
+        return _search_sampled(n, prop, count, seed)
     if count is not None and count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if mode == "exhaustive":

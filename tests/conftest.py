@@ -3,14 +3,18 @@ definitions (explicit labelings, explicit orientation walks, explicit
 permutation scans) rather than the package's bitset machinery.
 
 The edge-mask oracle is the pair-by-pair loop the incident-mask XOR
-replaced, and the least-witness oracle re-decides every friendly labeling
-from the edge labels themselves.  The scan oracle is the labeling-by-labeling
-walk of the per-support mask table that the bit-sliced witness search
-replaced; it reaches supports up to 16, where the least-witness oracle is
-too slow.  The two preserver oracles are the
+replaced; it also checks, entry by entry, the per-support mask table that
+Pascal's rule builds.  The least-witness oracle re-decides every friendly
+labeling from the edge labels themselves.  The scan oracle is the
+labeling-by-labeling walk of the per-support mask table that the bit-sliced
+witness search replaced; it reaches supports up to 16, where the
+least-witness oracle is too slow.  The membership oracle is the
+graph-by-graph loop of per-graph decisions that whole-table bit-sliced
+counts replaced, and the edge-count oracle is the graph-by-graph level check
+that the level tables replaced.  The two preserver oracles are the
 graph-by-graph paths the truth-table kernel replaced; they read membership
-from ``membership_bitmap``, which has its own tests against per-graph
-decisions.  The canonical-key oracle is the permutation minimum the
+from ``membership_bitmap``, which is tested against the membership oracle.
+The canonical-key oracle is the permutation minimum the
 least-bitset search replaced, and the enumeration oracle is the subset walk
 that level-by-level extension replaced; it takes its keys from
 ``_canonical_key_bits``, which is tested against the former.  The extension
@@ -323,6 +327,31 @@ def burnside_graph_count(n: int) -> int:
                     cur = image[cur]
         total += 1 << cycles
     return total // factorial(n)
+
+
+def oracle_membership_bitmap(n: int, prop: GraphProperty) -> int:
+    """membership_bitmap(n, prop), one _decide_bits call per nonempty graph;
+    each graph's support extends that of the graph without its lowest edge."""
+    slots = edge_slots(n)
+    endpoint = [(1 << i) | (1 << j) for i, j in pair_table(n)]
+    support = [0] * (1 << slots)
+    bitmap = 0
+    for g in range(1, 1 << slots):
+        low = g & -g
+        sup = support[g ^ low] | endpoint[low.bit_length() - 1]
+        support[g] = sup
+        if _decide_bits(n, g, prop, sup):
+            bitmap |= 1 << g
+    return bitmap
+
+
+def oracle_edge_count_determined(bm: int, slots: int) -> bool:
+    """True when membership is constant on every edge-count level, graph by graph."""
+    level: dict[int, int] = {}
+    for g in range(1 << slots):
+        if level.setdefault(g.bit_count(), bm >> g & 1) != bm >> g & 1:
+            return False
+    return True
 
 
 def oracle_strongly_preserves(op, prop) -> int | None:

@@ -37,6 +37,7 @@ from cordia.labeling import (
     _edge_masks,
     _friendly_label_bits,
     _label_columns,
+    _label_masks,
     _labeling_mask,
     _passing,
     _split_feasible,
@@ -141,6 +142,20 @@ def test_edge_masks_match_pair_loop_oracle_on_seeded_label_bitsets(n):
     for _ in range(200):
         labels = rng.getrandbits(n)
         assert _edge_masks(n, labels) == oracle_edge_masks(n, labels)
+
+
+@pytest.mark.parametrize("s", [0, 2, 5, 9, 12, 15, 16])
+def test_label_masks_match_pair_loop_oracle_entry_by_entry(s):
+    rng = random.Random(s)
+    n = MAX_VERTICES
+    support = sum(1 << v for v in rng.sample(range(n), s))
+    shift = edge_slots(n)
+    masks = _label_masks(n, support)
+    labs = _friendly_label_bits(support)
+    assert len(masks) == len(labs)
+    for lab, mask in zip(labs, masks):
+        cross, ones = oracle_edge_masks(n, lab)
+        assert mask == ones | cross << shift, lab
 
 
 def test_passing_counts_match_the_definitions():

@@ -1,10 +1,11 @@
 """Linear operators on edge sets and the strong-preserver searches."""
 
 import dataclasses
+import os
 from itertools import permutations
 from math import factorial
+from multiprocessing.process import BaseProcess
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +42,16 @@ from cordia import (
 )
 from conftest import (
     _scan_pairs,
+    oracle_edge_count_determined,
     oracle_exhaustive_survivors,
+    oracle_membership_bitmap,
     oracle_sample_report,
     oracle_strongly_preserves,
 )
 from cordia.graphs import pair_table
 from cordia.preserver import (
     SampleFailure,
+    _edge_count_determined,
     _operator_from_edge_map,
     _pruned_bijections,
     _sample_draws,
@@ -217,6 +221,39 @@ def test_membership_bitmap_matches_per_graph_decisions(n):
         bm = membership_bitmap(n, prop)
         for bits in range(1, 1 << edge_slots(n)):
             assert bool(bm >> bits & 1) == has_property(Graph(n, bits), prop)
+
+
+@pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
+@pytest.mark.parametrize("n", range(0, 7))
+def test_membership_bitmap_matches_per_graph_oracle(n, prop):
+    assert membership_bitmap(n, prop) == oracle_membership_bitmap(n, prop)
+
+
+def test_membership_bitmap_makes_no_per_graph_decision(monkeypatch):
+    def decide(*args):
+        raise AssertionError("membership_bitmap decided a graph on its own")
+
+    want = {prop: oracle_membership_bitmap(6, prop) for prop in GraphProperty}
+    monkeypatch.setattr(preserver_module, "_decide_bits", decide)
+    membership_bitmap.cache_clear()
+    for prop in GraphProperty:
+        assert membership_bitmap(6, prop) == want[prop]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_edge_count_determined_matches_level_oracle(n):
+    slots = edge_slots(n)
+    rng = Random(n)
+    tables = [membership_bitmap(n, prop) for prop in GraphProperty]
+    for _ in range(2):
+        # A union of whole levels, then the same with one graph flipped.
+        keep = rng.getrandbits(slots + 1)
+        bm = sum(1 << g for g in range(1 << slots) if keep >> g.bit_count() & 1)
+        tables += [bm, bm ^ 1 << rng.randrange(1 << slots)]
+    tables.append(rng.getrandbits(1 << slots))
+    verdicts = [oracle_edge_count_determined(bm, slots) for bm in tables]
+    assert [_edge_count_determined(bm, slots) for bm in tables] == verdicts
+    assert True in verdicts and (False in verdicts or slots < 2)
 
 
 def test_membership_bitmap_capped():
@@ -443,16 +480,17 @@ def test_sample_mode_matches_oracle(n, prop):
 def test_sample_draws_are_keyed_by_slots_seed_and_indices():
     # Each step repeats a seed after a search that differs in one respect;
     # the last column says whether the process may reuse its kept draws.
-    # With workers=2 the chunks are drawn in the workers, never here.
+    # Searches run in this process whatever workers is, so workers=2 shares
+    # the draws too.
     steps = [
         (6, GraphProperty.SUM, 50, 3, 1, False),
         (6, GraphProperty.PRODUCT, 50, 3, 1, True),  # another property
         (6, GraphProperty.PRODUCT, 60, 3, 1, False),  # another count
         (5, GraphProperty.PRODUCT, 60, 3, 1, False),  # another n
-        (5, GraphProperty.SUM, 60, 3, 2, False),  # the same draws, chunked
+        (5, GraphProperty.SUM, 60, 3, 2, True),  # another workers
         (5, GraphProperty.ORIENT23, 60, 3, 1, True),  # after a workers=2 run
         (5, GraphProperty.ORIENT23, 60, 4, 1, False),  # another seed
-        (5, GraphProperty.SUM, 60, 4, 2, False),
+        (5, GraphProperty.SUM, 60, 4, 2, True),
     ]
     _sample_draws.cache_clear()
     for n, prop, count, seed, workers, hit in steps:
@@ -464,7 +502,7 @@ def test_sample_draws_are_keyed_by_slots_seed_and_indices():
 
 def test_sample_failures_share_draws_and_counterexample_graphs():
     report = search_strong_preservers(6, GraphProperty.PRODUCT, "sample", count=300, seed=5)
-    draws = _sample_draws(edge_slots(6), 5, 0, 300)
+    draws = _sample_draws(edge_slots(6), 5, 300)
     assert all(f.edge_map is draws[f.index] for f in report.failures)
     graphs = {f.counterexample.edges: f.counterexample for f in report.failures}
     assert all(f.counterexample is graphs[f.counterexample.edges] for f in report.failures)
@@ -499,32 +537,15 @@ def test_scan_order_levels_at_six():
         assert _scan_order(n, GraphProperty.ORIENT23)[1] == ()
 
 
-def test_sample_pool_is_sized_to_its_chunks(monkeypatch):
-    sizes = []
+def test_sample_mode_starts_no_process(monkeypatch):
+    def start(*args, **kwargs):
+        raise AssertionError("sample mode started a process")
 
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    def fake_context(method):
-        assert method == "fork"
-        return SimpleNamespace(Pool=SerialPool)
-
-    monkeypatch.setattr(preserver_module, "get_context", fake_context)
-    for count, workers, size in [(5, 64, 5), (5, 4, 3), (60, 4, 4), (1, 8, None), (7, 1, None)]:
-        sizes.clear()
+    monkeypatch.setattr(BaseProcess, "start", start)
+    monkeypatch.setattr(os, "fork", start)
+    for count, workers in [(5, 64), (60, 4), (7, 1)]:
         got = search_strong_preservers(5, GraphProperty.SUM, "sample", count=count, seed=2, workers=workers)
-        assert got == oracle_sample_report(5, GraphProperty.SUM, count, 2)
-        assert sizes == ([] if size is None else [size]), (count, workers)
+        assert got == oracle_sample_report(5, GraphProperty.SUM, count, 2), (count, workers)
 
 
 def test_sample_mode_requires_count():
