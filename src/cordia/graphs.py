@@ -12,9 +12,13 @@ Isomorphism classes are enumerated level by level: each class with m edges
 comes from a class with m - 1 edges plus one absent edge.  Two vertices are
 twins when they have the same neighbours apart from each other, and swapping
 them is an automorphism, so every absent edge joining the same two twin
-classes gives the same class; only one of them is keyed.  This is the cheap
-part of extending by one edge per automorphism orbit (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998).
+classes gives the same class; only one of them is tried.  A child is keyed
+only when its new edge has the greatest of an isomorphism-invariant edge key
+among its edges, so a class is keyed only from the parents that delete one
+of its top edges.  These are the cheap parts of canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): twin
+classes stand in for automorphism orbits, and the canonical-deletion test
+runs without its orbit step.
 """
 
 from __future__ import annotations
@@ -325,6 +329,33 @@ def _extension_slots(g: Graph) -> list[int]:
     return list(first.values())
 
 
+def _edge_invariants(n: int, bits: int) -> dict[int, tuple]:
+    """Per edge slot of the graph, a key that every isomorphism carries to its
+    image edge: for the edge (u, v), deg u + deg v, the common neighbours of
+    u and v, and the sorted pair of (deg, sum of neighbour degrees) of u and v."""
+    pt = pair_table(n)
+    adj = [0] * n
+    for k in iter_bits(bits):
+        i, j = pt[k]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    deg = [a.bit_count() for a in adj]
+    rank = [(deg[v], sum(deg[w] for w in iter_bits(adj[v]))) for v in range(n)]
+    out = {}
+    for k in iter_bits(bits):
+        i, j = pt[k]
+        a, b = sorted((rank[i], rank[j]))
+        out[k] = (deg[i] + deg[j], (adj[i] & adj[j]).bit_count(), a, b)
+    return out
+
+
+def _tops_edge_invariant(n: int, bits: int, k: int) -> bool:
+    """True when edge slot k has the greatest invariant among the graph's
+    edges; ties count."""
+    inv = _edge_invariants(n, bits)
+    return inv[k] == max(inv.values())
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class with m edges on at most n vertices.
@@ -332,11 +363,24 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     Classes are counted up to isomorphism after dropping isolated vertices, and
     representatives come back sorted by canonical key.  Level m is built by
     adding to each representative of level m - 1 one absent edge per unordered
-    pair of its twin classes.  Swapping two twins is an automorphism, and twins
-    meet every vertex outside their class alike, so all absent edges joining
-    one pair of classes lie in one orbit and give the same key; the keys are
-    those of adding every absent edge.  A level above half the edge slots is
-    the complements of level C(n, 2) - m.
+    pair of its twin classes, and keying the child only when its new edge has
+    the greatest edge invariant among its edges (``_edge_invariants``; ties
+    are keyed).  A level above half the edge slots is the complements of
+    level C(n, 2) - m.
+
+    Every class of level m is still keyed.  Take any graph G of the class and
+    an edge e* of G with the greatest invariant.  G - e* is isomorphic to some
+    representative R of level m - 1 by some phi, so R + phi(e*) is isomorphic
+    to G.  Among its candidates, R has a slot e' joining the same unordered
+    pair of twin classes as phi(e*).  Any permutation inside twin classes is
+    an automorphism of R (swapping two twins is one), and one such
+    permutation maps phi(e*) to e'.  So R + e' is isomorphic to G by a map
+    that sends e* to e'.  The invariant is kept by isomorphisms, so e' has
+    the greatest invariant in R + e', and R + e' is keyed.  This is the
+    canonical-deletion test of canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998) without its orbit step: some
+    classes are still keyed from several parents, and the key set removes
+    the repeats.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -358,6 +402,7 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
             _canonical_key_bits(n, g.edges | 1 << k)
             for g in enumerate_graphs(n, m - 1)
             for k in _extension_slots(g)
+            if _tops_edge_invariant(n, g.edges | 1 << k, k)
         }
     return tuple(canonical_representative(key, n) for key in sorted(keys))
 

@@ -374,19 +374,29 @@ def _scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
     """(flags, order) for sample mode: flags[g] is "1" iff graph g is a member,
     and order lists the graphs on the edge-count levels of mixed membership,
     level by level, non-members leading.  A bijection keeps edge counts, so
-    no graph on a uniform level can change membership under one."""
+    no graph on a uniform level can change membership under one.  A level's
+    members are bm & E_m over its table E_m from ``_level_tables``."""
     slots = edge_slots(n)
-    flags = format(membership_bitmap(n, prop), f"0{1 << slots}b")[::-1]
-    levels: dict[int, tuple[list[int], list[int]]] = {}
-    for g in range(1, 1 << slots):
-        levels.setdefault(g.bit_count(), ([], []))[flags[g] == "1"].append(g)
+    bm = membership_bitmap(n, prop)
+    flags = format(bm, f"0{1 << slots}b")[::-1]
     order: list[int] = []
-    for m in sorted(levels):
-        non, mem = levels[m]
-        if non and mem:
-            order.extend(non)
-            order.extend(mem)
+    for level in _level_tables(slots):
+        members = bm & level
+        if members and members != level:
+            order.extend(_set_positions(level ^ members))
+            order.extend(_set_positions(members))
     return flags, tuple(order)
+
+
+def _set_positions(table: int) -> list[int]:
+    """Set bit positions of a truth table, ascending, found by str.find."""
+    text = format(table, "b")[::-1]
+    out = []
+    g = text.find("1")
+    while g >= 0:
+        out.append(g)
+        g = text.find("1", g + 1)
+    return out
 
 
 @lru_cache(maxsize=1)

@@ -26,7 +26,9 @@ isomorphism classes replaced; it decides with ``_decide_bits``, so it checks
 the route through the classes and the least-key witness, not the decider.
 The sample oracle is sample mode before its draws were shared and its scan
 was cut to the mixed edge-count levels: a fresh draw per call, every nonempty
-graph in the scan order, and one ``Graph`` per failure."""
+graph in the scan order, and one ``Graph`` per failure.  The scan-order
+oracle is the graph-by-graph sort into edge-count levels that reading the
+level tables replaced."""
 
 from __future__ import annotations
 
@@ -352,6 +354,23 @@ def oracle_edge_count_determined(bm: int, slots: int) -> bool:
         if level.setdefault(g.bit_count(), bm >> g & 1) != bm >> g & 1:
             return False
     return True
+
+
+def oracle_scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
+    """_scan_order(n, prop), every nonempty graph sorted into its edge-count
+    level one at a time; mixed levels kept, non-members leading."""
+    slots = edge_slots(n)
+    flags = format(membership_bitmap(n, prop), f"0{1 << slots}b")[::-1]
+    levels: dict[int, tuple[list[int], list[int]]] = {}
+    for g in range(1, 1 << slots):
+        levels.setdefault(g.bit_count(), ([], []))[flags[g] == "1"].append(g)
+    order: list[int] = []
+    for m in sorted(levels):
+        non, mem = levels[m]
+        if non and mem:
+            order.extend(non)
+            order.extend(mem)
+    return flags, tuple(order)
 
 
 def oracle_strongly_preserves(op, prop) -> int | None:

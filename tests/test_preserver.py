@@ -46,6 +46,7 @@ from conftest import (
     oracle_exhaustive_survivors,
     oracle_membership_bitmap,
     oracle_sample_report,
+    oracle_scan_order,
     oracle_strongly_preserves,
 )
 from cordia.graphs import pair_table
@@ -522,6 +523,12 @@ def test_scan_order_is_the_mixed_prefix_of_the_full_scan(n, prop):
     for g in full[len(order):]:
         assert uniform.setdefault(g.bit_count(), bm >> g & 1) == bm >> g & 1
     assert not {g.bit_count() for g in order} & set(uniform)
+
+
+@pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
+@pytest.mark.parametrize("n", range(0, 7))
+def test_scan_order_matches_graph_by_graph_oracle(n, prop):
+    assert _scan_order(n, prop) == oracle_scan_order(n, prop)
 
 
 def test_scan_order_levels_at_six():
