@@ -76,6 +76,26 @@ def incident_masks(n: int) -> tuple[int, ...]:
     return tuple(inc)
 
 
+def _support_of_bits(n: int, bits: int) -> int:
+    """Bitset of the vertices that some edge of the bitset touches."""
+    mask = 0
+    for v, inc in enumerate(incident_masks(n)):
+        if bits & inc:
+            mask |= 1 << v
+    return mask
+
+
+def _adjacency(n: int, bits: int) -> list[int]:
+    """Per vertex, the mask of its neighbours in the edge bitset."""
+    adj = [0] * n
+    pt = pair_table(n)
+    for k in iter_bits(bits):
+        i, j = pt[k]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
 @dataclass(frozen=True)
 class Graph:
     """Loopless simple undirected graph on vertices 0..n-1."""
@@ -99,12 +119,7 @@ class Graph:
 
     def support_mask(self) -> int:
         """Bitset of non-isolated vertices."""
-        pt = pair_table(self.n)
-        mask = 0
-        for k in iter_bits(self.edges):
-            i, j = pt[k]
-            mask |= (1 << i) | (1 << j)
-        return mask
+        return _support_of_bits(self.n, self.edges)
 
     def support_size(self) -> int:
         return self.support_mask().bit_count()
@@ -255,12 +270,7 @@ def _least_bits(adj: list[int]) -> int:
 
 
 def _canonical_key_bits(n: int, bits: int) -> CanonicalKey:
-    pt = pair_table(n)
-    sup = 0
-    for k in iter_bits(bits):
-        i, j = pt[k]
-        sup |= (1 << i) | (1 << j)
-    verts = list(iter_bits(sup))
+    verts = list(iter_bits(_support_of_bits(n, bits)))
     ks = len(verts)
     if ks == 0:
         return CanonicalKey(0, 0, 0)
@@ -269,13 +279,10 @@ def _canonical_key_bits(n: int, bits: int) -> CanonicalKey:
             f"canonical form needs a permutation scan over {ks} support vertices; "
             f"limit is {MAX_CANONICAL_SUPPORT}"
         )
+    adj = _adjacency(n, bits)
     rank = {v: r for r, v in enumerate(verts)}
-    adj = [0] * ks
-    for k in iter_bits(bits):
-        i, j = pt[k]
-        adj[rank[i]] |= 1 << rank[j]
-        adj[rank[j]] |= 1 << rank[i]
-    return CanonicalKey(ks, bits.bit_count(), _least_bits(adj))
+    packed = [sum(1 << rank[w] for w in iter_bits(adj[v])) for v in verts]
+    return CanonicalKey(ks, bits.bit_count(), _least_bits(packed))
 
 
 def canonical_form(g: Graph) -> CanonicalKey:
@@ -299,12 +306,7 @@ def _twin_classes(g: Graph) -> list[int]:
     to w and so to v; twins of one kind share their (open or closed)
     neighbourhood.  All isolated vertices form one class.
     """
-    adj = [0] * g.n
-    pt = pair_table(g.n)
-    for k in iter_bits(g.edges):
-        i, j = pt[k]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj = _adjacency(g.n, g.edges)
     lead = list(range(g.n))
     leaders: list[int] = []
     for v in range(g.n):
@@ -334,11 +336,7 @@ def _edge_invariants(n: int, bits: int) -> dict[int, tuple]:
     image edge: for the edge (u, v), deg u + deg v, the common neighbours of
     u and v, and the sorted pair of (deg, sum of neighbour degrees) of u and v."""
     pt = pair_table(n)
-    adj = [0] * n
-    for k in iter_bits(bits):
-        i, j = pt[k]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj = _adjacency(n, bits)
     deg = [a.bit_count() for a in adj]
     rank = [(deg[v], sum(deg[w] for w in iter_bits(adj[v]))) for v in range(n)]
     out = {}
@@ -382,8 +380,8 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     classes are still keyed from several parents, and the key set removes
     the repeats.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n < 1:
+        raise ValueError(f"vertex count must be at least 1, got {n}")
     if n > MAX_ENUMERATION_VERTICES:
         raise BudgetError(f"enumeration is capped at n={MAX_ENUMERATION_VERTICES}, got {n}")
     slots = edge_slots(n)
@@ -409,18 +407,13 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
 
 def connected_on_support(g: Graph) -> bool:
     """True when the non-isolated vertices form one connected component."""
-    adj: dict[int, list[int]] = {}
-    for i, j in g.edge_list():
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    if not adj:
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
+    support = g.support_mask()
+    adj = _adjacency(g.n, g.edges)
+    seen = frontier = support & -support
+    while frontier:
+        reached = 0
+        for v in iter_bits(frontier):
+            reached |= adj[v]
+        frontier = reached & ~seen
+        seen |= frontier
+    return bool(support) and seen == support

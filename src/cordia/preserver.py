@@ -64,7 +64,6 @@ EXHAUSTIVE_BIJECTION_BUDGET = 4_000_000
 SURVIVOR_BUDGET = 100_000
 MEMBERSHIP_VERTEX_LIMIT = 6
 VERTEX_ONLY_LIMIT = 8
-IMAGE_SCAN_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -105,29 +104,41 @@ class SearchReport:
     failures: tuple[SampleFailure, ...] = field(default=(), repr=False)
 
 
+def _apply_bits(images_bits: list[int], g: int) -> int:
+    out = 0
+    while g:
+        low = g & -g
+        out |= images_bits[low.bit_length() - 1]
+        g ^= low
+    return out
+
+
 def apply(op: LinearOperator, g: Graph) -> Graph:
     """Union of the edge images over g's edges; the empty graph maps to itself."""
     if g.n != op.n:
         raise ValueError(f"graph on {g.n} vertices fed to an operator on {op.n}")
-    bits = 0
-    for k in iter_bits(g.edges):
-        bits |= op.images[k].edges
-    return Graph(op.n, bits)
+    return Graph(op.n, _apply_bits([im.edges for im in op.images], g.edges))
+
+
+def _operator_from_edge_map(n: int, pi: tuple[int, ...]) -> LinearOperator:
+    return LinearOperator(n, tuple(Graph(n, 1 << t) for t in pi))
+
+
+def _vertex_edge_map(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """The edge-slot permutation that the vertex permutation sigma induces."""
+    n = len(sigma)
+    return tuple(edge_index(n, sigma[i], sigma[j]) for i, j in pair_table(n))
 
 
 def identity_operator(n: int) -> LinearOperator:
-    return LinearOperator(n, tuple(Graph(n, 1 << k) for k in range(edge_slots(n))))
+    return _operator_from_edge_map(n, tuple(range(edge_slots(n))))
 
 
 def vertex_permutation_operator(perm: tuple[int, ...]) -> LinearOperator:
     """The operator induced by relabeling vertices through perm."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(len(perm))):
         raise ValueError("perm is not a permutation of the vertex set")
-    images = tuple(
-        Graph(n, 1 << edge_index(n, perm[i], perm[j])) for i, j in pair_table(n)
-    )
-    return LinearOperator(n, images)
+    return _operator_from_edge_map(len(perm), _vertex_edge_map(tuple(perm)))
 
 
 def _edge_bijection(op: LinearOperator) -> tuple[int, ...] | None:
@@ -167,12 +178,8 @@ def is_vertex_permutation(op: LinearOperator) -> tuple[int, ...] | None:
         if common is None or len(common) != 1:
             return None
         sigma.append(common.pop())
-    if sorted(sigma) != list(range(n)):
+    if sorted(sigma) != list(range(n)) or _vertex_edge_map(tuple(sigma)) != pi:
         return None
-    for k, (i, j) in enumerate(pt):
-        a, b = sigma[i], sigma[j]
-        if (min(a, b), max(a, b)) != targets[k]:
-            return None
     return tuple(sigma)
 
 
@@ -181,34 +188,26 @@ def is_nonsingular(op: LinearOperator) -> bool:
     return all(im.edges for im in op.images)
 
 
-def _apply_bits(images_bits: list[int], g: int) -> int:
-    out = 0
-    while g:
-        low = g & -g
-        out |= images_bits[low.bit_length() - 1]
-        g ^= low
-    return out
-
-
 def is_injective(op: LinearOperator) -> bool:
-    if op.n > IMAGE_SCAN_LIMIT:
-        raise BudgetError(f"injectivity scan walks all graphs; capped at n={IMAGE_SCAN_LIMIT}")
-    images_bits = [im.edges for im in op.images]
-    seen: set[int] = set()
-    for g in range(1 << edge_slots(op.n)):
-        img = _apply_bits(images_bits, g)
-        if img in seen:
-            return False
-        seen.add(img)
-    return True
+    """True exactly when the images are distinct single edges.
+
+    Each image of an injective op has an edge that no other image has: if
+    images[k] lay inside the union of the others, the complete graph and the
+    complete graph minus edge k would share an image.  Those C(n,2) private
+    edges are distinct and fill all C(n,2) slots, so any second edge of an
+    image would be private to another.  Distinct single edges permute the
+    slots, which is injective."""
+    return _edge_bijection(op) is not None
 
 
 def is_surjective(op: LinearOperator) -> bool:
-    if op.n > IMAGE_SCAN_LIMIT:
-        raise BudgetError(f"surjectivity scan walks all graphs; capped at n={IMAGE_SCAN_LIMIT}")
-    images_bits = [im.edges for im in op.images]
-    total = 1 << edge_slots(op.n)
-    return len({_apply_bits(images_bits, g) for g in range(total)}) == total
+    """True exactly when the images are distinct single edges.
+
+    A single-edge graph is the union of the images of some nonempty graph,
+    so one of those images is that single edge.  A surjective op therefore
+    hits all C(n,2) single-edge graphs with its C(n,2) images, so they are
+    distinct single edges; and a slot permutation is onto."""
+    return _edge_bijection(op) is not None
 
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
@@ -417,20 +416,12 @@ def _sample_draws(slots: int, seed: int, count: int) -> tuple[tuple[int, ...], .
 @lru_cache(maxsize=None)
 def _vertex_edge_maps(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Vertex permutation -> induced edge-slot permutation."""
-    pt = pair_table(n)
-    return {
-        sigma: tuple(edge_index(n, sigma[i], sigma[j]) for i, j in pt)
-        for sigma in permutations(range(n))
-    }
+    return {sigma: _vertex_edge_map(sigma) for sigma in permutations(range(n))}
 
 
 @lru_cache(maxsize=None)
 def _vertex_induced_set(n: int) -> frozenset[tuple[int, ...]]:
     return frozenset(_vertex_edge_maps(n).values())
-
-
-def _operator_from_edge_map(n: int, pi: tuple[int, ...]) -> LinearOperator:
-    return LinearOperator(n, tuple(Graph(n, 1 << pi[k]) for k in range(edge_slots(n))))
 
 
 def _too_many_survivors(n: int) -> BudgetError:

@@ -28,7 +28,12 @@ The sample oracle is sample mode before its draws were shared and its scan
 was cut to the mixed edge-count levels: a fresh draw per call, every nonempty
 graph in the scan order, and one ``Graph`` per failure.  The scan-order
 oracle is the graph-by-graph sort into edge-count levels that reading the
-level tables replaced."""
+level tables replaced.  The injectivity and surjectivity oracles are the
+walks over every graph's image that the edge-bijection criterion replaced.
+The support oracle is the edge-by-edge loop that the incident-mask test
+replaced, the connectivity oracle the search over a dict of neighbour lists
+that the bitmask search replaced, and the split oracle the d_plus scan that
+the closed form of the orientation split replaced."""
 
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ from cordia import (
     CanonicalKey,
     Graph,
     GraphProperty,
+    LinearOperator,
     edge_slots,
     enumerate_graphs,
     membership_bitmap,
@@ -72,6 +78,84 @@ from cordia.preserver import (
     _operator_from_edge_map,
     _vertex_induced_set,
 )
+
+
+def oracle_support_mask(g: Graph) -> int:
+    """Bitset of the non-isolated vertices, edge by edge."""
+    pt = pair_table(g.n)
+    mask = 0
+    for k in iter_bits(g.edges):
+        i, j = pt[k]
+        mask |= (1 << i) | (1 << j)
+    return mask
+
+
+def oracle_connected_on_support(g: Graph) -> bool:
+    """True when the non-isolated vertices form one connected component,
+    by depth-first search over a dict of neighbour lists."""
+    adj: dict[int, list[int]] = {}
+    for i, j in g.edge_list():
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    if not adj:
+        return False
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
+def oracle_orientation_feasible(same_count: int, cross_count: int) -> tuple[int, int] | None:
+    """First (d_plus, d_minus) split of the cross edges, scanning d_plus upward,
+    for which {same_count, d_plus, d_minus} is 3-friendly, or None."""
+    for dp in range(cross_count + 1):
+        dm = cross_count - dp
+        if max(same_count, dp, dm) - min(same_count, dp, dm) <= 1:
+            return dp, dm
+    return None
+
+
+def _oracle_images(op) -> list[int]:
+    """The image edge bitset of every graph on op.n vertices, in ascending order."""
+    images = [im.edges for im in op.images]
+    out = []
+    for g in range(1 << edge_slots(op.n)):
+        img = 0
+        for k in range(len(images)):
+            if g >> k & 1:
+                img |= images[k]
+        out.append(img)
+    return out
+
+
+def oracle_is_injective(op) -> bool:
+    """No two graphs share an image, checked over every graph."""
+    seen: set[int] = set()
+    for img in _oracle_images(op):
+        if img in seen:
+            return False
+        seen.add(img)
+    return True
+
+
+def oracle_is_surjective(op) -> bool:
+    """Every graph is the image of some graph, checked over every graph."""
+    return len(set(_oracle_images(op))) == 1 << edge_slots(op.n)
+
+
+def near_bijection(n: int, rng: random.Random) -> LinearOperator:
+    """A random slot permutation's operator with 0 to 2 random extra edges
+    ORed into random images; an extra edge may already be there."""
+    slots = edge_slots(n)
+    images = [1 << t for t in rng.sample(range(slots), slots)]
+    for _ in range(rng.randint(0, 2) if slots else 0):
+        images[rng.randrange(slots)] |= 1 << rng.randrange(slots)
+    return LinearOperator(n, tuple(Graph(n, bits) for bits in images))
 
 
 def support_vertices(g: Graph) -> list[int]:

@@ -197,6 +197,12 @@ def test_enumerate_negative_n_is_a_usage_error(capsys):
     assert payload["error"]["kind"] == "usage"
 
 
+def test_enumerate_zero_vertices_is_a_usage_error(capsys):
+    code, payload = invoke(capsys, "enumerate", "--n", "0", "--edges", "0")
+    assert code == 2
+    assert payload["error"] == {"kind": "usage", "message": "vertex count must be at least 1, got 0"}
+
+
 # ------------------------------------------------------------------ preservers
 
 def test_preservers_exhaustive_summary(capsys):

@@ -46,8 +46,10 @@ from conftest import (
     brute_isomorphic,
     burnside_graph_count,
     oracle_canonical_bits,
+    oracle_connected_on_support,
     oracle_enumerate_keys,
     oracle_extend_level,
+    oracle_support_mask,
 )
 
 graphs_st = st.integers(2, 7).flatmap(
@@ -294,11 +296,25 @@ def test_enumerate_budget():
         enumerate_graphs(10, 3)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_enumerate_refuses_fewer_than_one_vertex(n):
+    with pytest.raises(ValueError, match=f"vertex count must be at least 1, got {n}"):
+        enumerate_graphs(n, 0)
+
+
 def test_connected_on_support():
     assert connected_on_support(named("triangle"))
     assert connected_on_support(named("paw"))
     assert not connected_on_support(named("2k2"))
     assert connected_on_support(make_graph(6, [(2, 4)]))  # single edge, isolates ignored
+
+
+def test_support_and_connectivity_match_edge_loop_oracles():
+    for n in range(1, 7):
+        for bits in range(1 << edge_slots(n)):
+            g = Graph(n, bits)
+            assert g.support_mask() == oracle_support_mask(g), (n, bits)
+            assert connected_on_support(g) == oracle_connected_on_support(g), (n, bits)
 
 
 # graph6 codec

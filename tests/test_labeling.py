@@ -52,6 +52,7 @@ from conftest import (
     oracle_check_scan,
     oracle_edge_masks,
     oracle_friendly_label_bits,
+    oracle_orientation_feasible,
     support_vertices,
 )
 
@@ -191,9 +192,11 @@ def test_orientation_feasible_frozen():
 
 
 def test_split_rule_closed_form_matches_orientation_feasible():
-    for s in range(101):
-        for d in range(101):
-            assert _split_feasible(s, d) == (orientation_feasible(s, d) is not None)
+    for s in range(130):
+        for d in range(130):
+            want = oracle_orientation_feasible(s, d)
+            assert orientation_feasible(s, d) == want, (s, d)
+            assert _split_feasible(s, d) == (want is not None), (s, d)
 
 
 def test_orientation_feasible_matches_brute_split_scan():

@@ -42,8 +42,11 @@ from cordia import (
 )
 from conftest import (
     _scan_pairs,
+    near_bijection,
     oracle_edge_count_determined,
     oracle_exhaustive_survivors,
+    oracle_is_injective,
+    oracle_is_surjective,
     oracle_membership_bitmap,
     oracle_sample_report,
     oracle_scan_order,
@@ -162,18 +165,36 @@ def test_nonsingular_and_injectivity():
 
 
 def test_injective_iff_surjective_on_seeded_operators():
+    # Through the image scans: the criterion answers both sides alike.
     rng = Random(2024)
     for _ in range(120):
-        op = random_operator(4, rng)
-        assert is_injective(op) == is_surjective(op)
+        op = random_operator(4, rng) if rng.random() < 0.5 else near_bijection(4, rng)
+        assert oracle_is_injective(op) == oracle_is_surjective(op)
 
 
-def test_image_scans_capped():
-    op = identity_operator(6)
-    with pytest.raises(BudgetError):
-        is_injective(op)
-    with pytest.raises(BudgetError):
-        is_surjective(op)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_edge_bijection_criterion_matches_image_scans(n):
+    # Random images are almost never bijective, so near-bijections carry
+    # the True branch.
+    rng = Random(n)
+    ops = [random_operator(n, rng) for _ in range(60)]
+    ops += [near_bijection(n, rng) for _ in range(60)]
+    answers = set()
+    for op in ops:
+        want = oracle_is_injective(op)
+        assert is_injective(op) == want
+        assert is_surjective(op) == oracle_is_surjective(op) == want
+        answers.add(want)
+    assert answers == ({True} if n == 1 else {True, False})  # n=1 has no edges
+
+
+def test_image_criterion_answers_at_n16():
+    op = identity_operator(16)
+    assert is_injective(op) and is_surjective(op)
+    images = list(op.images)
+    images[0] = images[1]
+    repeated = LinearOperator(16, tuple(images))
+    assert not is_injective(repeated) and not is_surjective(repeated)
 
 
 def test_compose_matches_sequential_application():
