@@ -36,9 +36,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sample-count", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers", type=int, default=1, help="checked (at least 1) but starts no process"
-    )
     args = parser.parse_args()
 
     t = time.perf_counter()
@@ -59,12 +56,7 @@ def main() -> int:
 
     t = time.perf_counter()
     sample = search_strong_preservers(
-        6,
-        GraphProperty.ORIENT23,
-        "sample",
-        count=args.sample_count,
-        seed=args.seed,
-        workers=args.workers,
+        6, GraphProperty.ORIENT23, "sample", count=args.sample_count, seed=args.seed
     )
     summarize("n=6 orient23  sample     ", sample, t)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -134,24 +133,15 @@ def _cmd_enumerate(args) -> tuple[dict, dict, int]:
 
 def _cmd_preservers(args) -> tuple[dict, dict, int]:
     prop = GraphProperty(args.property)
-    workers = args.workers
-    if workers is None:
-        raw = os.environ.get("CORDIA_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"CORDIA_WORKERS must be an integer, got {raw!r}") from None
     inputs = {
-        # Exhaustive mode checks every bijection and ignores the count.
-        "count": None if args.mode == "exhaustive" else args.count,
+        # Only sample mode reads the count.
+        "count": args.count if args.mode == "sample" else None,
         "mode": args.mode,
         "n": args.n,
         "property": prop.value,
         "seed": args.seed,
     }
-    report = search_strong_preservers(
-        args.n, prop, args.mode, count=args.count, seed=args.seed, workers=workers
-    )
+    report = search_strong_preservers(args.n, prop, args.mode, count=args.count, seed=args.seed)
     survivors_vertex = sum(
         1 for op in report.operators if is_vertex_permutation(op) is not None
     )
@@ -205,13 +195,20 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, so that run() reports it as a usage error."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--timing", action="store_true", help="include elapsed seconds in the JSON payload"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cordia",
         description="Cordial labelings, extremal edge counts, and linear preservers of small graphs.",
     )
@@ -248,12 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--mode", choices=["exhaustive", "vertex-only", "sample"], required=True)
     pr.add_argument("--count", type=int, default=1000, help="sample size (sample mode)")
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="checked (at least 1) but starts no process; default CORDIA_WORKERS or 1",
-    )
 
     oc = sub.add_parser("operator-check", parents=[common], help="test one operator table")
     oc.add_argument("--table", required=True, help="path to an operator table file")
@@ -267,19 +258,24 @@ def _emit(payload: dict) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     start = time.perf_counter()
-    payload: dict = {"command": args.command, "schema": 1}
+    # A command line that does not parse still names its subcommand, if any.
+    payload: dict = {"command": argv[0] if argv and argv[0] in _HANDLERS else None, "schema": 1}
+    args = None
 
     def finish(code: int) -> int:
         elapsed = time.perf_counter() - start
         if getattr(args, "timing", False):
             payload["timing"] = {"seconds": round(elapsed, 3)}
         _emit(payload)
-        print(f"cordia {args.command}: {elapsed:.2f}s", file=sys.stderr)
+        print(f"cordia {payload['command']}: {elapsed:.2f}s", file=sys.stderr)
         return code
 
     try:
+        args = _build_parser().parse_args(argv)
+        payload["command"] = args.command
         inputs, result, code = _HANDLERS[args.command](args)
     except GraphFormatError as exc:
         payload["error"] = {"kind": "malformed-graph6", "message": str(exc)}

@@ -26,9 +26,6 @@ property and edge count.  Two layouts feed it:
   friendly labeling.  They count the class of every labeling at once by
   bit-sliced addition, and read the least witness off the bitset of the
   labelings that pass.
-
-An independent oracle that walks every orientation is kept alongside the
-orientability reduction.
 """
 
 from __future__ import annotations
@@ -39,10 +36,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetError
 from .graphs import MAX_VERTICES, Graph, _support_of_bits, edge_slots, incident_masks, iter_bits
-
-ORACLE_EDGE_LIMIT = 20
 
 
 class GraphProperty(Enum):
@@ -382,54 +376,3 @@ def check_23_cordial_digraph(g: Graph, orientation: Orientation, labeling: Verte
         arc = (a - b) if (orientation.bits >> r & 1) else (b - a)
         counts[arc + 1] += 1
     return max(counts) - min(counts) <= 1
-
-
-@lru_cache(maxsize=None)
-def _balanced_triples(m: int) -> frozenset[int]:
-    # Packed (c_minus, c_zero, c_plus) triples summing to m with pairwise gap <= 1.
-    out = set()
-    for a in range(m + 1):
-        for b in range(m + 1 - a):
-            c = m - a - b
-            if max(a, b, c) - min(a, b, c) <= 1:
-                out.add(a | b << 7 | c << 14)
-    return frozenset(out)
-
-
-def _orientation_count_table(straight: list[int], flipped: list[int]) -> list[int]:
-    # Packed arc-label counts for every orientation pattern of this edge block.
-    enc = {-1: 1, 0: 1 << 7, 1: 1 << 14}
-    table = [0] * (1 << len(straight))
-    table[0] = sum(enc[v] for v in straight)
-    delta = [enc[flipped[e]] - enc[straight[e]] for e in range(len(straight))]
-    for o in range(1, len(table)):
-        b = o.bit_length() - 1
-        table[o] = table[o - (1 << b)] + delta[b]
-    return table
-
-
-def oracle_23_orientable(g: Graph, ambient_friendly: bool = False) -> Verdict:
-    """Brute-force orientability: every orientation of every friendly labeling.
-
-    Kept deliberately independent of the same/cross split reduction used by
-    check_23_orientable; the two must agree on every decision.
-    """
-    m = g.edge_count
-    if m > ORACLE_EDGE_LIMIT:
-        raise BudgetError(f"oracle walks 2^m orientations; m={m} exceeds {ORACLE_EDGE_LIMIT}")
-    mask = _labeling_mask(g, ambient_friendly)
-    labs = _friendly_label_bits(mask)
-    pairs = g.edge_list()
-    valid = _balanced_triples(m)
-    half = m // 2
-    for li, lab in enumerate(labs):
-        straight = [((lab >> j) & 1) - ((lab >> i) & 1) for i, j in pairs]
-        flipped = [-v for v in straight]
-        low = _orientation_count_table(straight[:half], flipped[:half])
-        high = _orientation_count_table(straight[half:], flipped[half:])
-        for ob, vb in enumerate(high):
-            for oa, va in enumerate(low):
-                if va + vb in valid:
-                    bits = ob << half | oa
-                    return Verdict(True, VertexLabeling(lab, mask), Orientation(bits, m), li + 1)
-    return Verdict(False, None, None, len(labs))

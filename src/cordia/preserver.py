@@ -64,6 +64,7 @@ EXHAUSTIVE_BIJECTION_BUDGET = 4_000_000
 SURVIVOR_BUDGET = 100_000
 MEMBERSHIP_VERTEX_LIMIT = 6
 VERTEX_ONLY_LIMIT = 8
+VERTEX_ONLY_SPOT_CHECKS = 32
 
 
 @dataclass(frozen=True)
@@ -541,7 +542,7 @@ def confirmed_failures(report: SearchReport) -> int:
     return confirmed
 
 
-def _search_vertex_only(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:
+def _search_vertex_only(n: int, prop: GraphProperty, seed: int) -> SearchReport:
     if n > VERTEX_ONLY_LIMIT:
         raise BudgetError(f"vertex-only mode is capped at n={VERTEX_ONLY_LIMIT}")
     maps = _vertex_edge_maps(n)
@@ -563,9 +564,8 @@ def _search_vertex_only(n: int, prop: GraphProperty, count: int, seed: int) -> S
     samples = []
     rng = random.Random(f"{seed}:graphs")
     slots = edge_slots(n)
-    want = count if count > 0 else 32
     seen = set()
-    while len(samples) < want:
+    while len(samples) < VERTEX_ONLY_SPOT_CHECKS:
         g = rng.getrandbits(slots)
         if g and g not in seen:
             seen.add(g)
@@ -598,8 +598,8 @@ def search_strong_preservers(
       on the edge count every bijection survives, so the answer is all of
       them, or a BudgetError at once if they exceed SURVIVOR_BUDGET.
     - "vertex-only" verifies all n! vertex permutations: exactly against the
-      membership table up to n = 6, by seeded graph spot checks (`count`
-      graphs, 32 when count is 0 or None) for n = 7, 8.  Every property
+      membership table up to n = 6, by seeded graph spot checks
+      (VERTEX_ONLY_SPOT_CHECKS graphs) for n = 7, 8.  Every property
       here is isomorphism-invariant, so a vertex map always preserves it:
       the spot checks can fail only if a decider is not invariant, and
       test that rather than the preserver theorem.
@@ -611,9 +611,11 @@ def search_strong_preservers(
       property, so a process keeps the last set for the next search with
       the same n, seed and count.
 
-    Every mode runs in the calling process; `workers` is checked but starts
-    no process, so results never depend on it.  n < 0, workers < 1 and a
-    negative count are usage errors (ValueError).
+    Only sample mode reads `count`; n < 0 and a negative count are usage
+    errors (ValueError) in every mode.  Every mode runs in the calling
+    process.  `workers` is checked (at least 1) and has no effect; it stays
+    only because the traced sample runs of `perfbench/worker.py` pass
+    workers=2, and goes at the next change to the benchmark.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -628,7 +630,7 @@ def search_strong_preservers(
     if mode == "exhaustive":
         return _search_exhaustive(n, prop)
     if mode == "vertex-only":
-        return _search_vertex_only(n, prop, count or 0, seed)
+        return _search_vertex_only(n, prop, seed)
     raise ValueError(f"unknown search mode {mode!r}")
 
 

@@ -2,6 +2,11 @@
 definitions (explicit labelings, explicit orientation walks, explicit
 permutation scans) rather than the package's bitset machinery.
 
+The orientation-walk oracle, ``oracle_23_orientable``, decides
+orientability by walking every orientation of every friendly labeling, half
+the edges at a time; it reaches 20 edges, where ``brute_23_orientable``
+stops near 12, and shares nothing with the split reduction of the deciders.
+
 The edge-mask oracle is the pair-by-pair loop the incident-mask XOR
 replaced; it also checks, entry by entry, the per-support mask table that
 Pascal's rule builds.  The least-witness oracle re-decides every friendly
@@ -48,6 +53,7 @@ from cordia import (
     Graph,
     GraphProperty,
     LinearOperator,
+    Orientation,
     edge_slots,
     enumerate_graphs,
     membership_bitmap,
@@ -68,6 +74,7 @@ from cordia.labeling import (
     _decide_bits,
     _friendly_label_bits,
     _label_masks,
+    _labeling_mask,
     _passing,
     _probe,
     _witness_orientation,
@@ -205,6 +212,60 @@ def brute_23_orientable(g: Graph) -> bool:
             if max(vals) - min(vals) <= 1:
                 return True
     return False
+
+
+ORACLE_EDGE_LIMIT = 20
+
+
+@lru_cache(maxsize=None)
+def _balanced_triples(m: int) -> frozenset[int]:
+    # Packed (c_minus, c_zero, c_plus) triples summing to m with pairwise gap <= 1.
+    out = set()
+    for a in range(m + 1):
+        for b in range(m + 1 - a):
+            c = m - a - b
+            if max(a, b, c) - min(a, b, c) <= 1:
+                out.add(a | b << 7 | c << 14)
+    return frozenset(out)
+
+
+def _orientation_count_table(straight: list[int], flipped: list[int]) -> list[int]:
+    # Packed arc-label counts for every orientation pattern of this edge block.
+    enc = {-1: 1, 0: 1 << 7, 1: 1 << 14}
+    table = [0] * (1 << len(straight))
+    table[0] = sum(enc[v] for v in straight)
+    delta = [enc[flipped[e]] - enc[straight[e]] for e in range(len(straight))]
+    for o in range(1, len(table)):
+        b = o.bit_length() - 1
+        table[o] = table[o - (1 << b)] + delta[b]
+    return table
+
+
+def oracle_23_orientable(g: Graph, ambient_friendly: bool = False) -> Verdict:
+    """Brute-force orientability: every orientation of every friendly labeling.
+
+    Kept deliberately independent of the same/cross split reduction used by
+    check_23_orientable; the two must agree on every decision.
+    """
+    m = g.edge_count
+    if m > ORACLE_EDGE_LIMIT:
+        raise BudgetError(f"oracle walks 2^m orientations; m={m} exceeds {ORACLE_EDGE_LIMIT}")
+    mask = _labeling_mask(g, ambient_friendly)
+    labs = _friendly_label_bits(mask)
+    pairs = g.edge_list()
+    valid = _balanced_triples(m)
+    half = m // 2
+    for li, lab in enumerate(labs):
+        straight = [((lab >> j) & 1) - ((lab >> i) & 1) for i, j in pairs]
+        flipped = [-v for v in straight]
+        low = _orientation_count_table(straight[:half], flipped[:half])
+        high = _orientation_count_table(straight[half:], flipped[half:])
+        for ob, vb in enumerate(high):
+            for oa, va in enumerate(low):
+                if va + vb in valid:
+                    bits = ob << half | oa
+                    return Verdict(True, VertexLabeling(lab, mask), Orientation(bits, m), li + 1)
+    return Verdict(False, None, None, len(labs))
 
 
 def brute_least_witness(g: Graph, prop: GraphProperty) -> tuple[int | None, int]:

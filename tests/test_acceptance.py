@@ -37,7 +37,6 @@ from cordia import (
     identity_operator,
     make_graph,
     minimal_noncordial,
-    oracle_23_orientable,
     relabel,
     search_strong_preservers,
     strongly_preserves,
@@ -53,6 +52,7 @@ from conftest import (
     brute_product_cordial,
     brute_sum_cordial,
     near_bijection,
+    oracle_23_orientable,
     oracle_is_injective,
     oracle_is_surjective,
 )

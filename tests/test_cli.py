@@ -1,6 +1,9 @@
 """The cordia command line: JSON payloads, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -236,7 +239,7 @@ def test_preservers_exhaustive_candidates_passed_counts_survivors(capsys, prop, 
     [
         ("exhaustive", (), None),
         ("exhaustive", ("--count", "5"), None),
-        ("vertex-only", (), 1000),
+        ("vertex-only", (), None),
         ("sample", ("--count", "20"), 20),
     ],
 )
@@ -292,17 +295,54 @@ def test_preservers_nonpositive_workers_is_a_usage_error(capsys):
     assert_usage_error(capsys, "--n", "4", "--mode", "sample", "--count", "10", "--workers", "0")
 
 
-def test_preservers_bad_workers_variable_is_a_usage_error(capsys, monkeypatch):
+def test_preservers_ignore_the_workers_variable(capsys, monkeypatch):
+    argv = ["preservers", "--property", "sum", "--n", "4", "--mode", "sample", "--count", "50"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
     monkeypatch.setenv("CORDIA_WORKERS", "abc")
-    code, payload = invoke(capsys, "preservers", "--property", "sum", "--n", "4", "--mode", "sample")
-    assert code == 2
-    assert payload["error"]["kind"] == "usage"
-    assert payload["error"]["message"] == "CORDIA_WORKERS must be an integer, got 'abc'"
-    assert "result" not in payload
+    assert run(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_vertex_only_spot_checks_ignore_the_count(capsys):
+    argv = ["preservers", "--property", "sum", "--n", "7", "--mode", "vertex-only"]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run(argv + ["--count", "5"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["result"]["candidates_checked"] == 5040
 
 
 def test_preservers_negative_count_is_a_usage_error(capsys):
     assert_usage_error(capsys, "--n", "7", "--mode", "vertex-only", "--count", "-5")
+
+
+# ---------------------------------------------------------------- parser errors
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "--property", "bogus", "--named", "paw"), "invalid choice: 'bogus'"),
+        (("bound", "--property", "sum", "--n", "x"), "invalid int value: 'x'"),
+        (
+            ("preservers", "--property", "sum", "--n", "4", "--mode", "sample", "--bogus", "1"),
+            "unrecognized arguments: --bogus 1",
+        ),
+        (("enumerate", "--n", "6"), "the following arguments are required: --edges"),
+        (
+            ("preservers", "--property", "sum", "--n", "4", "--mode", "sample", "--workers", "2"),
+            "unrecognized arguments: --workers 2",
+        ),
+    ],
+    ids=["bad-choice", "bad-int", "unknown-option", "missing-required", "workers"],
+)
+def test_parser_errors_are_json_usage_errors(capsys, argv, message):
+    code, payload = invoke(capsys, *argv)
+    assert code == 2
+    assert payload["command"] == argv[0]
+    assert payload["error"]["kind"] == "usage"
+    assert message in payload["error"]["message"]
+    assert "result" not in payload
 
 
 # -------------------------------------------------------------- operator-check
@@ -362,6 +402,21 @@ def test_timing_flag_adds_payload_field(capsys):
     assert "timing" in payload and "seconds" in payload["timing"]
     code, payload = invoke(capsys, "bound", "--property", "sum", "--n", "6")
     assert "timing" not in payload
+
+
+def test_readme_command_lines_run(capsys, tmp_path):
+    # Every `cordia ...` line of the README's command-line block prints one
+    # JSON object and exits as its comment says (0 when it says nothing).
+    table = tmp_path / "op.txt"
+    table.write_text(operator_table(identity_operator(4)), encoding="ascii")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in readme.splitlines() if line.startswith("cordia ")]
+    assert len(lines) == 9
+    for line in lines:
+        argv = [str(table) if a == "op.txt" else a for a in shlex.split(line, comments=True)]
+        expected = re.search(r"# exit (\d)", line)
+        code, _ = invoke(capsys, *argv[1:])
+        assert code == (int(expected.group(1)) if expected else 0), line
 
 
 def test_json_keys_sorted(capsys):

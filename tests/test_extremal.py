@@ -22,7 +22,6 @@ from cordia import (
     has_property,
     make_graph,
     minimal_noncordial,
-    oracle_23_orientable,
     parse_graph6,
     survey,
     to_graph6,
@@ -35,6 +34,7 @@ from conftest import (
     brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    oracle_23_orientable,
     oracle_empirical_max,
 )
 

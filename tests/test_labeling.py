@@ -27,7 +27,6 @@ from cordia import (
     is_k_friendly,
     make_graph,
     named,
-    oracle_23_orientable,
     orientation_feasible,
     relabel,
 )
@@ -49,6 +48,7 @@ from conftest import (
     brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    oracle_23_orientable,
     oracle_check_scan,
     oracle_edge_masks,
     oracle_friendly_label_bits,
