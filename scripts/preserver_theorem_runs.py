@@ -9,7 +9,8 @@ Four desk-scale runs, printed as summary lines:
   3. n=5 product, exhaustive over all 10! edge bijections (a prefix-pruned
      search settles them in a fraction of a second);
   4. n=6 orientability: all 720 vertex permutations verified exactly, then a
-     seeded sample of random non-vertex bijections, every failure re-verified.
+     seeded sample of random non-vertex bijections, every failure re-decided
+     by the labeling decider rather than read from the membership table.
 
 Example:
     python3 scripts/preserver_theorem_runs.py --sample-count 5000 --seed 0
@@ -63,7 +64,7 @@ def main() -> int:
     confirmed = confirmed_failures(sample)
     print(
         f"counterexample re-verification: {confirmed} of "
-        f"{len(sample.failures)} confirmed against the membership table"
+        f"{len(sample.failures)} confirmed by the labeling decider"
     )
     return 0 if confirmed == len(sample.failures) else 1
 

@@ -58,6 +58,12 @@ def edge_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
+def _vertex_edge_map(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Slot k, the pair (i, j), goes to the slot of (sigma[i], sigma[j])."""
+    n = len(sigma)
+    return tuple(edge_index(n, sigma[i], sigma[j]) for i, j in pair_table(n))
+
+
 def iter_bits(bits: int) -> Iterator[int]:
     """Positions of set bits, ascending."""
     while bits:
@@ -167,12 +173,8 @@ def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     """Image of g under the vertex permutation v -> perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
-    bits = 0
-    pt = pair_table(g.n)
-    for k in iter_bits(g.edges):
-        i, j = pt[k]
-        bits |= 1 << edge_index(g.n, perm[i], perm[j])
-    return Graph(g.n, bits)
+    slot = _vertex_edge_map(tuple(perm))
+    return Graph(g.n, sum(1 << slot[k] for k in iter_bits(g.edges)))
 
 
 # ---------------------------------------------------------------------------

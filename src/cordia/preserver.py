@@ -7,14 +7,15 @@ of a graph class means membership of G and of apply(op, G) agree for every
 graph, equivalently the operator preserves the class and its complement.
 
 Verification works against precomputed membership tables over all 2^C(n,2)
-graphs, which is why the strong-preservation checks stop at n = 6.  A table
-is the truth table of a Boolean function of the C(n,2) edge variables, and
-an edge bijection permutes those variables.  Tables are built from that view
-too, with no decision per graph: ``membership_bitmap`` counts each label
-set's probed edge class in every graph at once by bit-sliced addition of the
-edge variables (Knuth, TAOCP 4A, 7.1.3), and combines the passing counts
-with the edge-count levels and the support of each graph.  The exact paths
-share one kernel:
+graphs; ``membership_bitmap`` alone refuses n > 6, so every check that reads
+a table stops there with its message.  A table is the truth table of a
+Boolean function of the C(n,2) edge variables, and an edge bijection
+permutes those variables.  Tables are built from that view too, with no
+decision per graph: ``membership_bitmap`` counts each label set's probed
+edge class in every graph at once by bit-sliced addition of the edge
+variables (Knuth, TAOCP 4A, 7.1.3), and combines the passing counts with the
+edge-count levels and the support of each graph.  Graph-by-graph scans read
+a table through one text view, ``_flags``.  The exact paths share one kernel:
 
 - ``strongly_preserves`` applies a bijection's variable permutation to the
   whole table with one delta swap per transposition (Knuth, TAOCP 4A,
@@ -25,7 +26,8 @@ share one kernel:
 - Exhaustive search assigns the images of slots 0, 1, ... in order, trying
   targets in ascending order, and checks each graph as soon as its highest
   slot has an image, so survivors come out in lexicographic order and a
-  partial map is dropped at the first graph it changes.
+  partial map is dropped at the first graph it changes.  When no edge-count
+  level is mixed (``_mixed_levels``) all survive; too many are refused first.
 - Exact vertex-only search runs every vertex map through the table check.
 
 Sample mode keeps its own scan, since nearly every sampled bijection fails
@@ -35,8 +37,9 @@ lists their graphs level by level, non-members leading, and a failure records
 the first mismatch in that order.  The draws depend on the seed and the
 count, not on the property, so a process keeps its last set of edge maps
 (``_sample_draws``) for the next search, and the failures of one search share
-one ``Graph`` per distinct counterexample.  Every search runs in the calling
-process: a scan costs less than starting a worker would.
+one ``Graph`` per distinct counterexample; ``confirmed_failures`` re-decides
+them without the table.  Every search runs in the calling process: a scan
+costs less than starting a worker would.
 """
 
 from __future__ import annotations
@@ -49,7 +52,15 @@ from math import factorial, isqrt
 from typing import NamedTuple
 
 from .errors import BudgetError
-from .graphs import Graph, edge_index, edge_slots, incident_masks, iter_bits, pair_table
+from .graphs import (
+    Graph,
+    _vertex_edge_map,
+    edge_index,
+    edge_slots,
+    incident_masks,
+    iter_bits,
+    pair_table,
+)
 from .labeling import (
     GraphProperty,
     _decide_bits,
@@ -125,12 +136,6 @@ def _operator_from_edge_map(n: int, pi: tuple[int, ...]) -> LinearOperator:
     return LinearOperator(n, tuple(Graph(n, 1 << t) for t in pi))
 
 
-def _vertex_edge_map(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """The edge-slot permutation that the vertex permutation sigma induces."""
-    n = len(sigma)
-    return tuple(edge_index(n, sigma[i], sigma[j]) for i, j in pair_table(n))
-
-
 def identity_operator(n: int) -> LinearOperator:
     return _operator_from_edge_map(n, tuple(range(edge_slots(n))))
 
@@ -155,28 +160,22 @@ def _edge_bijection(op: LinearOperator) -> tuple[int, ...] | None:
 def is_vertex_permutation(op: LinearOperator) -> tuple[int, ...] | None:
     """The inducing vertex permutation, or None.
 
-    The images must be distinct single edges, and the common endpoint of each
-    vertex's star images pins the permutation, which is then verified slot
-    by slot.
-    """
+    The images must be distinct single edges.  For n >= 3 a vertex map sends
+    v to the common endpoint of the images of two edges at v (Whitney's star
+    argument, 1932); the candidate is then verified slot by slot.  For n <= 2
+    every edge bijection is the identity's."""
     pi = _edge_bijection(op)
     if pi is None:
         return None
     n = op.n
+    if n <= 2:
+        return tuple(range(n))
     pt = pair_table(n)
-    targets = [pt[k] for k in pi]
-    if n == 1:
-        return (0,)
-    if n == 2:
-        return (0, 1)
     sigma = []
     for v in range(n):
-        common: set[int] | None = None
-        for k, (i, j) in enumerate(pt):
-            if v == i or v == j:
-                ends = set(targets[k])
-                common = ends if common is None else common & ends
-        if common is None or len(common) != 1:
+        a, b = [u for u in range(3) if u != v][:2]
+        common = set(pt[pi[edge_index(n, v, a)]]) & set(pt[pi[edge_index(n, v, b)]])
+        if len(common) != 1:
             return None
         sigma.append(common.pop())
     if sorted(sigma) != list(range(n)) or _vertex_edge_map(tuple(sigma)) != pi:
@@ -250,6 +249,17 @@ def _level_tables(slots: int) -> tuple[int, ...]:
     return tuple(_lanes_counting(planes, 1 << m, full) for m in range(slots + 1))
 
 
+def _flags(bm: int, slots: int) -> str:
+    """Membership table bm as text: character g is "1" iff graph g is a member."""
+    return format(bm, f"0{1 << slots}b")[::-1]
+
+
+def _mixed_levels(bm: int, slots: int) -> list[int]:
+    """The edge-count level tables that hold both members and non-members of
+    bm: a bijection keeps edge counts, so only there can it change membership."""
+    return [level for level in _level_tables(slots) if bm & level not in (0, level)]
+
+
 @lru_cache(maxsize=None)
 def membership_bitmap(n: int, prop: GraphProperty) -> int:
     """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member.
@@ -265,7 +275,9 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MEMBERSHIP_VERTEX_LIMIT:
-        raise BudgetError(f"membership tables are kept only up to n={MEMBERSHIP_VERTEX_LIMIT}")
+        raise BudgetError(
+            f"membership tables are kept only up to n={MEMBERSHIP_VERTEX_LIMIT}; n={n} requested"
+        )
     slots = edge_slots(n)
     full = (1 << (1 << slots)) - 1
     var = [_edge_variable(slots, k) for k in range(slots)]
@@ -354,17 +366,15 @@ def strongly_preserves(op: LinearOperator, prop: GraphProperty) -> PreserverVerd
 
     Edge bijections go through the truth-table kernel; every other operator
     is scanned graph by graph."""
-    if op.n > MEMBERSHIP_VERTEX_LIMIT:
-        raise BudgetError(f"strong preservation scan is capped at n={MEMBERSHIP_VERTEX_LIMIT}")
     bm = membership_bitmap(op.n, prop)
     pi = _edge_bijection(op)
     if pi is not None:
         g = _table_counterexample(bm, pi)
         return PreserverVerdict(g is None, None if g is None else Graph(op.n, g))
+    flags = _flags(bm, edge_slots(op.n))
     images_bits = [im.edges for im in op.images]
-    for g in range(1 << edge_slots(op.n)):
-        img = _apply_bits(images_bits, g)
-        if (bm >> g ^ bm >> img) & 1:
+    for g in range(len(flags)):
+        if flags[g] != flags[_apply_bits(images_bits, g)]:
             return PreserverVerdict(False, Graph(op.n, g))
     return PreserverVerdict(True, None)
 
@@ -378,14 +388,12 @@ def _scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
     members are bm & E_m over its table E_m from ``_level_tables``."""
     slots = edge_slots(n)
     bm = membership_bitmap(n, prop)
-    flags = format(bm, f"0{1 << slots}b")[::-1]
     order: list[int] = []
-    for level in _level_tables(slots):
+    for level in _mixed_levels(bm, slots):
         members = bm & level
-        if members and members != level:
-            order.extend(_set_positions(level ^ members))
-            order.extend(_set_positions(members))
-    return flags, tuple(order)
+        order.extend(_set_positions(level ^ members))
+        order.extend(_set_positions(members))
+    return _flags(bm, slots), tuple(order)
 
 
 def _set_positions(table: int) -> list[int]:
@@ -415,26 +423,14 @@ def _sample_draws(slots: int, seed: int, count: int) -> tuple[tuple[int, ...], .
 
 
 @lru_cache(maxsize=None)
-def _vertex_edge_maps(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Vertex permutation -> induced edge-slot permutation."""
-    return {sigma: _vertex_edge_map(sigma) for sigma in permutations(range(n))}
+def _vertex_edge_maps(n: int) -> tuple[tuple[int, ...], ...]:
+    """The slot maps of the vertex permutations, in lexicographic order."""
+    return tuple(_vertex_edge_map(sigma) for sigma in permutations(range(n)))
 
 
 @lru_cache(maxsize=None)
 def _vertex_induced_set(n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(_vertex_edge_maps(n).values())
-
-
-def _too_many_survivors(n: int) -> BudgetError:
-    return BudgetError(
-        f"more than {SURVIVOR_BUDGET} strong preservers at n={n}; "
-        "the class is too permissive for an exhaustive report"
-    )
-
-
-def _edge_count_determined(bm: int, slots: int) -> bool:
-    """True when membership is constant on every edge-count level."""
-    return all(bm & level in (0, level) for level in _level_tables(slots))
+    return frozenset(_vertex_edge_maps(n))
 
 
 def _pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
@@ -448,7 +444,7 @@ def _pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
     bijection, and a partial map dies at the first graph it changes.
     """
     slots = edge_slots(n)
-    member = [bm >> g & 1 for g in range(1 << slots)]
+    member = list(_flags(bm, slots))
     image = [0] * (1 << slots)
     used = [False] * slots
     pi: list[int] = []
@@ -458,7 +454,10 @@ def _pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
         if j == slots:
             passing.append(tuple(pi))
             if len(passing) > SURVIVOR_BUDGET:
-                raise _too_many_survivors(n)
+                raise BudgetError(
+                    f"more than {SURVIVOR_BUDGET} strong preservers at n={n}; "
+                    "the class is too permissive for an exhaustive report"
+                )
             return
         top = 1 << j
         for t in range(slots):
@@ -487,24 +486,18 @@ def _search_exhaustive(n: int, prop: GraphProperty) -> SearchReport:
     if total > EXHAUSTIVE_BIJECTION_BUDGET:
         raise BudgetError(f"{total} edge bijections at n={n}; exhaustive mode stops at n=5")
     bm = membership_bitmap(n, prop)
-    if _edge_count_determined(bm, slots):
+    if total > SURVIVOR_BUDGET and not _mixed_levels(bm, slots):
         # A bijection keeps edge counts, so every one of them survives.
-        if total > SURVIVOR_BUDGET:
-            raise BudgetError(
-                f"membership at n={n} depends only on the edge count, so all "
-                f"{slots}! = {total} edge bijections are strong preservers, more than "
-                f"{SURVIVOR_BUDGET}; the class is too permissive for an exhaustive report"
-            )
-        passing = list(permutations(range(slots)))
-    else:
-        passing = _pruned_bijections(n, bm)
-    ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
+        raise BudgetError(
+            f"membership at n={n} depends only on the edge count, so all "
+            f"{slots}! = {total} edge bijections are strong preservers, more than "
+            f"{SURVIVOR_BUDGET}; the class is too permissive for an exhaustive report"
+        )
+    ops = tuple(_operator_from_edge_map(n, pi) for pi in _pruned_bijections(n, bm))
     return SearchReport(n, prop, "exhaustive", total, ops)
 
 
 def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:
-    if n > MEMBERSHIP_VERTEX_LIMIT:
-        raise BudgetError(f"sampled search is capped at n={MEMBERSHIP_VERTEX_LIMIT}")
     if count < 1:
         raise ValueError("sample count must be positive")
     flags, order = _scan_order(n, prop)
@@ -530,15 +523,17 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
 
 
 def confirmed_failures(report: SearchReport) -> int:
-    """How many of report's recorded failures the membership table confirms:
-    the counterexample and its image under the failure's edge map differ in
-    membership.  Needs the table, so n <= MEMBERSHIP_VERTEX_LIMIT."""
-    bm = membership_bitmap(report.n, report.property)
+    """How many recorded failures ``_decide_bits`` confirms: it puts the
+    counterexample and its image under the failure's edge map on different
+    sides, each decided afresh, not read from the table that found it.  The
+    edgeless graph maps to itself, so a failure on it is never confirmed."""
+    n, prop = report.n, report.property
     confirmed = 0
     for failure in report.failures:
         g = failure.counterexample.edges
-        img = _apply_bits([1 << t for t in failure.edge_map], g)
-        confirmed += (bm >> g ^ bm >> img) & 1
+        if g:
+            img = _apply_bits([1 << t for t in failure.edge_map], g)
+            confirmed += _decide_bits(n, g, prop) != _decide_bits(n, img, prop)
     return confirmed
 
 
@@ -551,7 +546,7 @@ def _search_vertex_only(n: int, prop: GraphProperty, seed: int) -> SearchReport:
     if n <= MEMBERSHIP_VERTEX_LIMIT:
         bm = membership_bitmap(n, prop)
         passing = []
-        for pi in maps.values():
+        for pi in maps:
             cex = _table_counterexample(bm, pi)
             if cex is None:
                 passing.append(pi)
@@ -571,7 +566,7 @@ def _search_vertex_only(n: int, prop: GraphProperty, seed: int) -> SearchReport:
             seen.add(g)
             samples.append(g)
     member = {g: _decide_bits(n, g, prop) for g in samples}
-    for pi in maps.values():
+    for pi in maps:
         images = [1 << t for t in pi]
         for g in samples:
             if _decide_bits(n, _apply_bits(images, g), prop) != member[g]:

@@ -38,7 +38,12 @@ walks over every graph's image that the edge-bijection criterion replaced.
 The support oracle is the edge-by-edge loop that the incident-mask test
 replaced, the connectivity oracle the search over a dict of neighbour lists
 that the bitmask search replaced, and the split oracle the d_plus scan that
-the closed form of the orientation split replaced."""
+the closed form of the orientation split replaced.  The vertex-permutation
+oracle intersects the image endpoints of all n - 1 edges at every vertex,
+where ``is_vertex_permutation`` reads two, and checks the induced slot map
+pair by pair; the relabel oracle is the pair-by-pair loop that reading
+``_vertex_edge_map`` replaced, so the round trip of ``apply`` against
+``relabel`` does not compare that map with itself."""
 
 from __future__ import annotations
 
@@ -82,6 +87,7 @@ from cordia.labeling import (
 from cordia.preserver import (
     SampleFailure,
     SearchReport,
+    _edge_bijection,
     _operator_from_edge_map,
     _vertex_induced_set,
 )
@@ -153,6 +159,48 @@ def oracle_is_injective(op) -> bool:
 def oracle_is_surjective(op) -> bool:
     """Every graph is the image of some graph, checked over every graph."""
     return len(set(_oracle_images(op))) == 1 << edge_slots(op.n)
+
+
+def oracle_is_vertex_permutation(op) -> tuple[int, ...] | None:
+    """is_vertex_permutation(op): each vertex's image is the one endpoint
+    shared by the images of every edge at it, and the candidate must induce
+    op's slot map, built pair by pair."""
+    pi = _edge_bijection(op)
+    if pi is None:
+        return None
+    n = op.n
+    pt = pair_table(n)
+    targets = [pt[k] for k in pi]
+    if n == 1:
+        return (0,)
+    if n == 2:
+        return (0, 1)
+    sigma = []
+    for v in range(n):
+        common: set[int] | None = None
+        for k, (i, j) in enumerate(pt):
+            if v == i or v == j:
+                ends = set(targets[k])
+                common = ends if common is None else common & ends
+        if common is None or len(common) != 1:
+            return None
+        sigma.append(common.pop())
+    induced = tuple(edge_index(n, sigma[i], sigma[j]) for i, j in pt)
+    if sorted(sigma) != list(range(n)) or induced != pi:
+        return None
+    return tuple(sigma)
+
+
+def oracle_relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
+    """relabel(g, perm), one edge at a time through edge_index."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    bits = 0
+    pt = pair_table(g.n)
+    for k in iter_bits(g.edges):
+        i, j = pt[k]
+        bits |= 1 << edge_index(g.n, perm[i], perm[j])
+    return Graph(g.n, bits)
 
 
 def near_bijection(n: int, rng: random.Random) -> LinearOperator:

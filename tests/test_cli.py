@@ -378,6 +378,25 @@ def test_operator_check_failing_operator(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["operator-check", "--property", "sum", "--table", "{table}"],
+        ["preservers", "--property", "sum", "--n", "7", "--mode", "sample", "--count", "5"],
+    ],
+    ids=["operator-check", "sample"],
+)
+def test_membership_limit_is_one_budget_refusal(capsys, tmp_path, argv):
+    table = tmp_path / "identity7.txt"
+    table.write_text(operator_table(identity_operator(7)), encoding="ascii")
+    code, payload = invoke(capsys, *[a.format(table=table) for a in argv])
+    assert code == 3
+    assert payload["error"] == {
+        "kind": "budget",
+        "message": "membership tables are kept only up to n=6; n=7 requested",
+    }
+
+
 def test_operator_check_missing_file(capsys, tmp_path):
     code, payload = invoke(
         capsys, "operator-check", "--table", str(tmp_path / "absent.txt"), "--property", "sum"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -49,6 +50,7 @@ from conftest import (
     oracle_connected_on_support,
     oracle_enumerate_keys,
     oracle_extend_level,
+    oracle_relabel,
     oracle_support_mask,
 )
 
@@ -122,6 +124,21 @@ def test_relabel_roundtrip():
     inverse = tuple(perm.index(v) for v in range(4))
     assert relabel(h, inverse) == g
     assert h.edge_count == g.edge_count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16])
+def test_relabel_matches_pair_by_pair_oracle(n):
+    # Every permutation up to n=5 on seeded graphs; seeded cases at n=16.
+    rng = random.Random(f"relabel:{n}")
+    slots = edge_slots(n)
+    graphs = [0, (1 << slots) - 1] + [rng.getrandbits(slots) for _ in range(6)]
+    if n <= 5:
+        cases = [(g, p) for g in graphs for p in itertools.permutations(range(n))]
+    else:
+        cases = [(rng.getrandbits(slots), tuple(rng.sample(range(n), n))) for _ in range(300)]
+    for bits, perm in cases:
+        g = Graph(n, bits)
+        assert relabel(g, perm) == oracle_relabel(g, perm)
 
 
 @settings(deadline=None, derandomize=True)

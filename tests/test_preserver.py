@@ -47,7 +47,9 @@ from conftest import (
     oracle_exhaustive_survivors,
     oracle_is_injective,
     oracle_is_surjective,
+    oracle_is_vertex_permutation,
     oracle_membership_bitmap,
+    oracle_relabel,
     oracle_sample_report,
     oracle_scan_order,
     oracle_strongly_preserves,
@@ -55,7 +57,7 @@ from conftest import (
 from cordia.graphs import pair_table
 from cordia.preserver import (
     SampleFailure,
-    _edge_count_determined,
+    _mixed_levels,
     _operator_from_edge_map,
     _pruned_bijections,
     _sample_draws,
@@ -121,7 +123,7 @@ def test_vertex_permutation_round_trip():
         assert is_vertex_permutation(op) == perm
         for bits in (0, 1, 9, 33, 63):
             g = Graph(4, bits)
-            assert apply(op, g) == relabel(g, perm)
+            assert apply(op, g) == relabel(g, perm) == oracle_relabel(g, perm)
 
 
 def test_is_vertex_permutation_rejects_non_permutations():
@@ -132,6 +134,32 @@ def test_is_vertex_permutation_rejects_non_permutations():
     assert is_vertex_permutation(LinearOperator(4, tuple(images))) is None
     # swapping two disjoint edge slots is bijective but not vertex-induced
     assert is_vertex_permutation(edge_swap_operator()) is None
+
+
+def vertex_permutation_cases(n, rng):
+    """Operators for comparing is_vertex_permutation with its oracle: every
+    slot bijection up to n=4; every vertex map and 300 seeded bijections at
+    n=5, 6; 300 seeded vertex maps and 300 seeded bijections beyond; plus 20
+    near-bijections, some of them no bijection at all."""
+    slots = edge_slots(n)
+    if n <= 4:
+        ops = [_operator_from_edge_map(n, pi) for pi in permutations(range(slots))]
+    else:
+        sigmas = permutations(range(n)) if n <= 6 else [rng.sample(range(n), n) for _ in range(300)]
+        ops = [vertex_permutation_operator(tuple(sigma)) for sigma in sigmas]
+        for _ in range(300):
+            ops.append(_operator_from_edge_map(n, tuple(rng.sample(range(slots), slots))))
+    return ops + [near_bijection(n, rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("n", range(0, 17))
+def test_is_vertex_permutation_matches_star_oracle(n):
+    found = 0
+    for op in vertex_permutation_cases(n, Random(f"vertex:{n}")):
+        got = is_vertex_permutation(op)
+        assert got == oracle_is_vertex_permutation(op)
+        found += got is not None
+    assert found >= min(300, max(1, factorial(n)))
 
 
 def edge_swap_operator():
@@ -274,13 +302,28 @@ def test_edge_count_determined_matches_level_oracle(n):
         tables += [bm, bm ^ 1 << rng.randrange(1 << slots)]
     tables.append(rng.getrandbits(1 << slots))
     verdicts = [oracle_edge_count_determined(bm, slots) for bm in tables]
-    assert [_edge_count_determined(bm, slots) for bm in tables] == verdicts
+    assert [not _mixed_levels(bm, slots) for bm in tables] == verdicts
     assert True in verdicts and (False in verdicts or slots < 2)
+    # Graph by graph: the level tables, ascending, whose graphs disagree.
+    levels = [[g for g in range(1 << slots) if g.bit_count() == m] for m in range(slots + 1)]
+    for bm in tables:
+        mixed = [sum(1 << g for g in gs) for gs in levels if len({bm >> g & 1 for g in gs}) == 2]
+        assert _mixed_levels(bm, slots) == mixed
 
 
 def test_membership_bitmap_capped():
-    with pytest.raises(BudgetError):
+    # The table's refusal is the only one for every path that reads a table.
+    with pytest.raises(BudgetError, match=r"up to n=6; n=7 requested"):
         membership_bitmap(7, GraphProperty.SUM)
+    with pytest.raises(BudgetError, match=r"n=7 requested"):
+        strongly_preserves(identity_operator(7), GraphProperty.SUM)
+    with pytest.raises(BudgetError, match=r"n=7 requested"):
+        strongly_preserves(collapse_operator(7), GraphProperty.ORIENT23)
+    with pytest.raises(BudgetError, match=r"n=7 requested"):
+        search_strong_preservers(7, GraphProperty.SUM, "sample", count=5)
+    # A bad count is a usage error before any size refusal.
+    with pytest.raises(ValueError, match="sample count must be positive"):
+        search_strong_preservers(7, GraphProperty.SUM, "sample", count=0)
 
 
 def test_membership_bitmap_rejects_negative_n():
@@ -420,7 +463,7 @@ def test_strongly_preserves_matches_full_scan_oracle(n):
     collapse operator and seeded random (mostly non-bijective) operators."""
     rng = Random(f"strong:{n}")
     slots = edge_slots(n)
-    vertex_maps = sorted(_vertex_edge_maps(n).values())
+    vertex_maps = sorted(_vertex_edge_maps(n))
     for prop in GraphProperty:
         maps = [tuple(rng.sample(range(slots), slots)) for _ in range(STRONG_ORACLE_DRAWS[n])]
         maps += rng.sample(vertex_maps, 4)
@@ -466,8 +509,14 @@ def test_sample_mode_is_deterministic_and_reverifiable():
     assert different != a
 
 
-def test_confirmed_failures_counts_only_real_mismatches():
+def test_confirmed_failures_counts_only_real_mismatches(monkeypatch):
     report = search_strong_preservers(4, GraphProperty.SUM, "sample", count=200, seed=7)
+
+    def table(*args):
+        raise AssertionError("confirmed_failures read a membership table")
+
+    # The search found the failures with the table; they are confirmed without it.
+    monkeypatch.setattr(preserver_module, "membership_bitmap", table)
     assert confirmed_failures(report) == len(report.failures) == 189
     # The identity map changes no graph's membership, so a failure that
     # claims it does is not confirmed.
