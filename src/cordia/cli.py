@@ -14,7 +14,7 @@ import sys
 import time
 
 from .errors import BudgetError, GraphFormatError, UnknownTagError
-from .extremal import bounds_for, empirical_max_edges, minimal_noncordial
+from .extremal import bounds_for, minimal_noncordial, survey
 from .graph6 import parse_graph6, to_graph6
 from .graphs import Graph, enumerate_graphs, named
 from .labeling import (
@@ -94,18 +94,14 @@ def _cmd_extremal(args) -> tuple[dict, dict, int]:
         if args.n is None:
             raise ValueError("empirical mode needs --n")
         inputs = {"mode": args.mode, "n": args.n, "property": prop.value}
-        m, g = empirical_max_edges(prop, args.n)
-        try:
-            bound, alternate = bounds_for(prop, args.n)
-        except ValueError:
-            bound, alternate = None, None
+        report = survey(prop, args.n)
         result = {
-            "alternate_bound": alternate,
-            "bound": bound,
-            "max_edges": m,
+            "alternate_bound": report.alternate_bound,
+            "bound": report.bound,
+            "max_edges": report.empirical_max,
             "n": args.n,
             "property": prop.value,
-            "witness": _graph_json(g),
+            "witness": _graph_json(report.witness),
         }
         return inputs, result, 0
     inputs = {"edge_cap": args.edge_cap, "mode": args.mode, "property": prop.value}

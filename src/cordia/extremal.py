@@ -3,33 +3,30 @@
 Closed-form edge bounds as stated for each property, an exhaustive empirical
 maximum read off the isomorphism classes of each edge-count level (every
 level above the answer is certified failing), and the minimal failing
-isomorphism classes per edge count.  Two of the stated bounds are not upper
-bounds: the empirical product maximum exceeds the stated product bound by one
-at every n in 4..7, and the orientability maximum exceeds the closed form by
-one at n=7, 8 and 9 (see bound_23_orientable).
+isomorphism classes per edge count, both deciding classes from graphs.py and
+refused only by its enumeration limits.  Two of the stated bounds are not
+upper bounds: the empirical product maximum exceeds the stated product bound
+by one at every n in 4..7, and the orientability maximum exceeds the closed
+form by one at n=7, 8 and 9 (see bound_23_orientable).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
-from .errors import BudgetError
-from .graphs import Graph, connected_on_support, edge_slots, enumerate_graphs, make_graph
+from .graphs import Graph, _edge_count_classes, edge_slots, enumerate_graphs
 from .labeling import GraphProperty, _decide_bits
-
-MINIMAL_EDGE_CAP = 6
 
 
 @dataclass(frozen=True)
 class BoundReport:
     n: int
     property: GraphProperty
-    bound: int
-    alternate_bound: int | None = None
-    empirical_max: int | None = None
-    witness: Graph | None = None
+    bound: int | None
+    alternate_bound: int | None
+    empirical_max: int
+    witness: Graph
 
 
 def bound_sum_cordial(n: int) -> int:
@@ -71,15 +68,18 @@ def bounds_for(prop: GraphProperty, n: int) -> tuple[int, int | None]:
     if prop is GraphProperty.SUM:
         return bound_sum_cordial(n), None
     if prop is GraphProperty.PRODUCT:
-        stated, adjusted = bound_product_cordial(n)
-        return stated, adjusted
+        return bound_product_cordial(n)
     return bound_23_orientable(n), None
 
 
 def survey(prop: GraphProperty, n: int) -> BoundReport:
-    """Closed-form bound plus exhaustive empirical maximum for one (prop, n) cell."""
-    bound, alternate = bounds_for(prop, n)
+    """Exhaustive empirical maximum plus closed-form bound for one (prop, n)
+    cell; below the closed form's domain both bounds are None."""
     emp, witness = empirical_max_edges(prop, n)
+    try:
+        bound, alternate = bounds_for(prop, n)
+    except ValueError:
+        bound, alternate = None, None
     return BoundReport(n, prop, bound, alternate, emp, witness)
 
 
@@ -102,56 +102,12 @@ def empirical_max_edges(prop: GraphProperty, n: int) -> tuple[int, Graph]:
     raise AssertionError("unreachable: a single edge satisfies every property")
 
 
-@lru_cache(maxsize=None)
-def _connected_classes(c: int) -> tuple[Graph, ...]:
-    # Connected classes with c edges have at most c + 1 support vertices.
-    return tuple(g for g in enumerate_graphs(c + 1, c) if connected_on_support(g))
-
-
-def _assemble(parts: tuple[Graph, ...]) -> Graph:
-    total = sum(p.support_size() for p in parts)
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for p in parts:
-        edges.extend((i + offset, j + offset) for i, j in p.edge_list())
-        offset += p.support_size()
-    return make_graph(total, edges)
-
-
-@lru_cache(maxsize=None)
-def _edge_count_classes(m: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class with exactly m edges.
-
-    Built as multisets of connected classes, so supports up to 2m are covered
-    even though direct enumeration stops at 9 ambient vertices.
-    """
-    catalog: list[tuple[int, Graph]] = []
-    for c in range(1, m + 1):
-        for rep in _connected_classes(c):
-            catalog.append((c, rep))
-    out: list[Graph] = []
-
-    def grow(start: int, remaining: int, chosen: list[Graph]) -> None:
-        if remaining == 0:
-            out.append(_assemble(tuple(chosen)))
-            return
-        for idx in range(start, len(catalog)):
-            c, rep = catalog[idx]
-            if c <= remaining:
-                chosen.append(rep)
-                grow(idx, remaining - c, chosen)
-                chosen.pop()
-
-    grow(0, m, [])
-    return tuple(out)
-
-
 def minimal_noncordial(prop: GraphProperty, edge_cap: int) -> list[tuple[int, Graph]]:
-    """Failing isomorphism classes per edge count, for all m up to edge_cap."""
+    """Failing isomorphism classes per edge count, for all m up to edge_cap;
+    a cap beyond the enumeration limits is refused before any decision."""
     if edge_cap < 1:
         raise ValueError("edge cap must be positive")
-    if edge_cap > MINIMAL_EDGE_CAP:
-        raise BudgetError(f"edge cap above {MINIMAL_EDGE_CAP} exceeds the class-assembly budget")
+    _edge_count_classes(edge_cap)
     out = []
     for m in range(1, edge_cap + 1):
         failing = [g for g in _edge_count_classes(m) if not _decide_bits(g.n, g.edges, prop)]

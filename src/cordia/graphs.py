@@ -19,6 +19,10 @@ of its top edges.  These are the cheap parts of canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): twin
 classes stand in for automorphism orbits, and the canonical-deletion test
 runs without its orbit step.
+
+The classes of one edge count on any support are multisets of connected
+classes (``_edge_count_classes``).  Only this module generates classes, so the
+limits of ``enumerate_graphs`` are the only refusals of every class question.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ MAX_ENUMERATION_VERTICES = 9
 
 # Largest number of edge subsets (counted through the complement above half
 # the slots) a single enumeration level may hold.  enumerate_graphs is its
-# only user; empirical_max_edges reads its levels and so meets the same
+# only user; the extremal searches read its levels and so meet the same
 # refusals.  Anything bigger fails loudly instead of running for hours.
 SUBSET_BUDGET = 600_000
 
@@ -419,3 +423,43 @@ def connected_on_support(g: Graph) -> bool:
         frontier = reached & ~seen
         seen |= frontier
     return bool(support) and seen == support
+
+
+@lru_cache(maxsize=None)
+def _connected_classes(c: int) -> tuple[Graph, ...]:
+    # Connected classes with c edges have at most c + 1 support vertices.
+    return tuple(g for g in enumerate_graphs(c + 1, c) if connected_on_support(g))
+
+
+def _assemble(parts: tuple[Graph, ...]) -> Graph:
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for p in parts:
+        edges.extend((i + offset, j + offset) for i, j in p.edge_list())
+        offset += p.support_size()
+    return make_graph(offset, edges)
+
+
+@lru_cache(maxsize=None)
+def _edge_count_classes(m: int) -> tuple[Graph, ...]:
+    """One representative per isomorphism class with exactly m edges.
+
+    Built as multisets of connected classes, so supports up to 2m are covered
+    even though direct enumeration stops at 9 ambient vertices.
+    """
+    catalog = [(c, rep) for c in range(1, m + 1) for rep in _connected_classes(c)]
+    out: list[Graph] = []
+
+    def grow(start: int, remaining: int, chosen: list[Graph]) -> None:
+        if remaining == 0:
+            out.append(_assemble(tuple(chosen)))
+            return
+        for idx in range(start, len(catalog)):
+            c, rep = catalog[idx]
+            if c <= remaining:
+                chosen.append(rep)
+                grow(idx, remaining - c, chosen)
+                chosen.pop()
+
+    grow(0, m, [])
+    return tuple(out)

@@ -115,16 +115,16 @@ def _friendly_label_bits(mask: int) -> tuple[int, ...]:
     return _friendly_entries(tuple((0, 1 << p) for p in iter_bits(mask)))
 
 
-def _edge_masks(n: int, labels: int) -> tuple[int, int]:
-    """(cross edges, both-endpoints-one edges) as slot masks for a label bitset:
-    over the labeled vertices' incident slots, an edge seen once is cross and
-    an edge seen twice is 1-1."""
+def _probed_edges(n: int, labels: int, prop: GraphProperty) -> int:
+    """Slot mask of the edges prop counts under a label bitset, the 1-1 edges
+    for product and the cross edges otherwise: over the labeled vertices'
+    incident slots, an edge seen once is cross and one seen twice is 1-1."""
     inc = incident_masks(n)
     cross = seen = 0
     for v in iter_bits(labels):
         cross ^= inc[v]
         seen |= inc[v]
-    return cross, seen & ~cross
+    return seen & ~cross if prop is _PRODUCT else cross
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +133,7 @@ def _label_masks(n: int, support: int) -> tuple[int, ...]:
     _friendly_label_bits order: the 1-1 edges low, the cross edges high.
 
     Each entry is built as seen | cross << C(n,2) over the labeled vertices'
-    incident slots, as in _edge_masks: a labeled vertex ORs its slots into
+    incident slots, as in _probed_edges: a labeled vertex ORs its slots into
     seen and XORs them into cross.  The 1-1 edges are then seen & ~cross."""
     shift = edge_slots(n)
     inc = incident_masks(n)
@@ -160,10 +160,10 @@ def induced_edge_counts(g: Graph, labeling: VertexLabeling, prop: GraphProperty)
     """(count of edges labeled 0, count labeled 1) under the sum or product edge rule."""
     if prop is GraphProperty.ORIENT23:
         raise ValueError("orient23 labels arcs, not edges; use check_23_cordial_digraph")
-    cross, ones = _edge_masks(g.n, labeling.labels)
-    m = g.edge_count
-    c1 = (g.edges & (cross if prop is GraphProperty.SUM else ones)).bit_count()
-    return m - c1, c1
+    if labeling.labels >> g.n:
+        raise ValueError(f"labeling names vertices outside the graph's {g.n} vertices")
+    c1 = (g.edges & _probed_edges(g.n, labeling.labels, prop)).bit_count()
+    return g.edge_count - c1, c1
 
 
 def _split_feasible(s: int, d: int) -> bool:
@@ -232,7 +232,7 @@ def _witness_orientation(g: Graph, labels: int) -> Orientation:
     # First d_plus cross edges (edge-index order) point from the 0 end to the
     # 1 end, the rest the other way; same-label edges keep the low->high arc.
     m = g.edge_count
-    d = (g.edges & _edge_masks(g.n, labels)[0]).bit_count()
+    d = (g.edges & _probed_edges(g.n, labels, _ORIENT23)).bit_count()
     split = orientation_feasible(m - d, d)
     assert split is not None
     dp, _ = split
@@ -368,6 +368,8 @@ def check_23_cordial_digraph(g: Graph, orientation: Orientation, labeling: Verte
     m = g.edge_count
     if orientation.edge_count != m:
         raise ValueError(f"orientation covers {orientation.edge_count} edges, graph has {m}")
+    if labeling.labels >> g.n:
+        raise ValueError(f"labeling names vertices outside the graph's {g.n} vertices")
     counts = [0, 0, 0]
     labels = labeling.labels
     for r, (i, j) in enumerate(g.edge_list()):

@@ -64,10 +64,10 @@ from .graphs import (
 from .labeling import (
     GraphProperty,
     _decide_bits,
-    _edge_masks,
     _friendly_label_bits,
     _lanes_counting,
     _passing,
+    _probed_edges,
     _sliced_sum,
 )
 
@@ -268,10 +268,10 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     friendly label set L of S puts a passing count of g's edges in the class
     prop probes (see labeling._passing).  For each L, a bit-sliced sum of
     that class's edge variables counts it in every graph at once; pass[L] is
-    where the count passes at the graph's own edge count.  pass[L] does not
-    depend on S, and L and its complement cut the same cross edges, so sum
-    and orient23 build it once per complement pair.  The table is the OR
-    over supports S of [support(g) = S] AND the OR of pass[L] over L."""
+    where the count passes at the graph's own edge count.  pass[L] depends only
+    on L's probed edges (``_probed_edges``), so complement pairs, and for
+    product the one-vertex label sets, share one.  The table is the OR over
+    supports S of [support(g) = S] AND the OR of pass[L] over L."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MEMBERSHIP_VERTEX_LIMIT:
@@ -286,21 +286,18 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     for m, level in enumerate(_level_tables(slots)):
         for c in iter_bits(_passing(prop, m)):
             within[c] |= level
-    product = prop is GraphProperty.PRODUCT
-    everyone = (1 << n) - 1
     passes: dict[int, int] = {}
 
     def pass_table(labels: int) -> int:
-        key = labels if product else min(labels, labels ^ everyone)
-        table = passes.get(key)
+        probed = _probed_edges(n, labels, prop)
+        table = passes.get(probed)
         if table is None:
-            cross, ones = _edge_masks(n, labels)
-            planes = _sliced_sum(var[k] for k in iter_bits(ones if product else cross))
+            planes = _sliced_sum(var[k] for k in iter_bits(probed))
             table = 0
             for c, ok in enumerate(within):
                 if ok:
                     table |= _lanes_counting(planes, 1 << c, full) & ok
-            passes[key] = table
+            passes[probed] = table
         return table
 
     cover = [0] * n
@@ -525,15 +522,17 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
 def confirmed_failures(report: SearchReport) -> int:
     """How many recorded failures ``_decide_bits`` confirms: it puts the
     counterexample and its image under the failure's edge map on different
-    sides, each decided afresh, not read from the table that found it.  The
-    edgeless graph maps to itself, so a failure on it is never confirmed."""
+    sides, each distinct graph decided once, not read from the table that found
+    it.  The edgeless graph maps to itself, so a failure on it is never
+    confirmed."""
     n, prop = report.n, report.property
+    member = lru_cache(maxsize=None)(lambda g: _decide_bits(n, g, prop))
     confirmed = 0
     for failure in report.failures:
         g = failure.counterexample.edges
         if g:
             img = _apply_bits([1 << t for t in failure.edge_map], g)
-            confirmed += _decide_bits(n, g, prop) != _decide_bits(n, img, prop)
+            confirmed += member(g) != member(img)
     return confirmed
 
 

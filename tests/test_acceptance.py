@@ -43,8 +43,7 @@ from cordia import (
     to_graph6,
     vertex_permutation_operator,
 )
-from cordia.extremal import _edge_count_classes
-from cordia.graphs import pair_table
+from cordia.graphs import _edge_count_classes, pair_table
 from cordia.preserver import _operator_from_edge_map, confirmed_failures, is_vertex_permutation
 
 from conftest import (

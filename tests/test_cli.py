@@ -16,6 +16,7 @@ from cordia import (
     identity_operator,
     operator_table,
     parse_graph6,
+    survey,
 )
 from cordia.cli import run
 from cordia.graphs import pair_table
@@ -149,6 +150,19 @@ def test_extremal_empirical(capsys):
     assert result["bound"] == 2
     assert result["alternate_bound"] == 3
     assert result["witness"]["graph6"] == "Cw"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
+def test_extremal_empirical_reports_the_survey_cell(capsys, prop, n):
+    code, payload = invoke(capsys, "extremal", "--property", prop.value, "--n", str(n))
+    assert code == 0
+    result = payload["result"]
+    report = survey(prop, n)
+    assert result["max_edges"] == report.empirical_max
+    assert (result["bound"], result["alternate_bound"]) == (report.bound, report.alternate_bound)
+    assert result["witness"]["edges"] == [list(e) for e in report.witness.edge_list()]
+    assert (result["n"], result["property"]) == (n, prop.value)
 
 
 def test_extremal_empirical_needs_n(capsys):

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import cordia.extremal as extremal_module
 from cordia import (
     BudgetError,
     GraphProperty,
@@ -26,7 +27,7 @@ from cordia import (
     survey,
     to_graph6,
 )
-from cordia.extremal import _edge_count_classes
+from cordia.graphs import _edge_count_classes
 
 from conftest import (
     brute_23_orientable,
@@ -211,6 +212,20 @@ def test_empirical_certifies_the_level_above():
         assert not has_property(g, GraphProperty.ORIENT23)
 
 
+@pytest.mark.parametrize(
+    "prop,n",
+    [(GraphProperty.SUM, n) for n in (2, 3)]
+    + [(GraphProperty.PRODUCT, n) for n in (2, 3)]
+    + [(GraphProperty.ORIENT23, n) for n in range(2, 6)],
+)
+def test_survey_below_the_closed_form_domain_reports_no_bound(prop, n):
+    with pytest.raises(ValueError):
+        bounds_for(prop, n)
+    report = survey(prop, n)
+    assert (report.bound, report.alternate_bound) == (None, None)
+    assert (report.empirical_max, report.witness) == empirical_max_edges(prop, n)
+
+
 def test_survey_bundles_bound_and_empirical():
     report = survey(GraphProperty.PRODUCT, 4)
     assert (report.n, report.property) == (4, GraphProperty.PRODUCT)
@@ -372,8 +387,14 @@ def test_orientability_failures_below_six_edges_is_only_the_three_matching():
     assert brute_isomorphic(g, make_graph(6, [(0, 1), (2, 3), (4, 5)]))
 
 
-def test_minimal_noncordial_domain_and_budget():
+def test_minimal_noncordial_domain_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         minimal_noncordial(GraphProperty.SUM, 0)
-    with pytest.raises(BudgetError):
-        minimal_noncordial(GraphProperty.SUM, 7)
+    # The refusal is enumerate_graphs' own: 7-edge classes need the level
+    # (n=8, m=7), over SUBSET_BUDGET, and it comes before any decision.
+    calls = []
+    monkeypatch.setattr(extremal_module, "_decide_bits", lambda *a: calls.append(a))
+    for prop in GraphProperty:
+        with pytest.raises(BudgetError, match=r"level \(n=8, m=7\) has 1184040 subsets"):
+            minimal_noncordial(prop, 7)
+    assert calls == []

@@ -33,12 +33,12 @@ from cordia import (
 from cordia.graphs import MAX_VERTICES
 from cordia.labeling import (
     _check,
-    _edge_masks,
     _friendly_label_bits,
     _label_columns,
     _label_masks,
     _labeling_mask,
     _passing,
+    _probed_edges,
     _split_feasible,
 )
 
@@ -131,18 +131,24 @@ def test_induced_edge_counts_frozen_examples():
     assert induced_edge_counts(star, lab, GraphProperty.PRODUCT) == (2, 1)
 
 
+def assert_probed_edges_match_oracle(n, labels):
+    cross, ones = oracle_edge_masks(n, labels)
+    for prop in ALL_PROPERTIES:
+        want = ones if prop is GraphProperty.PRODUCT else cross
+        assert _probed_edges(n, labels, prop) == want, (n, labels, prop)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_edge_masks_match_pair_loop_oracle_on_every_label_bitset(n):
     for labels in range(1 << n):
-        assert _edge_masks(n, labels) == oracle_edge_masks(n, labels)
+        assert_probed_edges_match_oracle(n, labels)
 
 
 @pytest.mark.parametrize("n", range(9, MAX_VERTICES + 1))
 def test_edge_masks_match_pair_loop_oracle_on_seeded_label_bitsets(n):
     rng = random.Random(n)
     for _ in range(200):
-        labels = rng.getrandbits(n)
-        assert _edge_masks(n, labels) == oracle_edge_masks(n, labels)
+        assert_probed_edges_match_oracle(n, rng.getrandbits(n))
 
 
 @pytest.mark.parametrize("s", [0, 2, 5, 9, 12, 15, 16])
@@ -172,6 +178,22 @@ def test_passing_counts_match_the_definitions():
                 else:
                     want = -1 <= m - 2 * c <= 1
                 assert bool(ok >> c & 1) == want, (prop, m, c)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, lab: induced_edge_counts(g, lab, GraphProperty.SUM),
+        lambda g, lab: induced_edge_counts(g, lab, GraphProperty.PRODUCT),
+        lambda g, lab: check_23_cordial_digraph(g, Orientation(0, g.edge_count), lab),
+    ],
+    ids=["induced-sum", "induced-product", "digraph"],
+)
+@pytest.mark.parametrize("labels", [0b110000, 0b010001, 0b1 << 15])
+def test_labelings_naming_vertices_outside_the_graph_are_rejected(call, labels):
+    # The paw has vertices 0..3; each labeling names a vertex at 4 or above.
+    with pytest.raises(ValueError, match="outside the graph"):
+        call(named("paw"), VertexLabeling(labels, labels))
 
 
 def test_induced_edge_counts_rejects_arc_rule():

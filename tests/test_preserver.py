@@ -525,6 +525,27 @@ def test_confirmed_failures_counts_only_real_mismatches(monkeypatch):
     assert confirmed_failures(report) == 3
 
 
+def test_confirmed_failures_decides_each_distinct_graph_once(monkeypatch):
+    report = search_strong_preservers(6, GraphProperty.ORIENT23, "sample", count=2000, seed=0)
+    distinct = set()
+    for failure in report.failures:
+        g = failure.counterexample.edges
+        if g:
+            op = _operator_from_edge_map(6, failure.edge_map)
+            distinct |= {g, apply(op, failure.counterexample).edges}
+    decide = preserver_module._decide_bits
+    calls = []
+
+    def counting(n, bits, prop):
+        calls.append(bits)
+        return decide(n, bits, prop)
+
+    monkeypatch.setattr(preserver_module, "_decide_bits", counting)
+    assert confirmed_failures(report) == len(report.failures)
+    assert len(report.failures) > len(distinct)
+    assert sorted(calls) == sorted(distinct)
+
+
 def has_property_or_false(g):
     return g.edges != 0 and has_property(g, GraphProperty.SUM)
 
