@@ -2,10 +2,13 @@
 
 The byte layout is the standard one: chr(n + 63), then the upper triangle of
 the adjacency matrix read column by column, packed six bits per byte, each
-byte offset by 63.  Trailing pad bits must be zero.
+byte offset by 63.  Trailing pad bits must be zero.  Both directions read
+one cached order of the row-major edge slots per n, ``_stream_slots``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import GraphFormatError
 from .graphs import MAX_VERTICES, Graph, edge_index, edge_slots
@@ -13,22 +16,21 @@ from .graphs import MAX_VERTICES, Graph, edge_index, edge_slots
 _HEADER = ">>graph6<<"
 
 
-def _column_major_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
+@lru_cache(maxsize=None)
+def _stream_slots(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(slot of each stream position, stream position of each slot from the
+    highest slot down): the stream lists the pairs (i, j), i < j, column by
+    column, while the slots run row by row."""
+    order = tuple(edge_index(n, i, j) for j in range(1, n) for i in range(j))
+    return order, tuple(sorted(range(len(order)), key=order.__getitem__, reverse=True))
 
 
 def to_graph6(g: Graph) -> str:
-    n = g.n
-    out = [chr(n + 63)]
-    stream = [(g.edges >> edge_index(n, i, j)) & 1 for i, j in _column_major_pairs(n)]
-    for at in range(0, len(stream), 6):
-        group = stream[at:at + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for bit in group:
-            val = (val << 1) | bit
-        out.append(chr(val + 63))
-    return "".join(out)
+    order, _ = _stream_slots(g.n)
+    slots = format(g.edges, f"0{len(order)}b")[::-1]  # character k is slot k
+    stream = "".join([slots[k] for k in order]) + "0" * (-len(order) % 6)
+    data = [chr(int(stream[at:at + 6], 2) + 63) for at in range(0, len(stream), 6)]
+    return chr(g.n + 63) + "".join(data)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -51,15 +53,8 @@ def parse_graph6(text: str) -> Graph:
     data = s[1:]
     if len(data) != need:
         raise GraphFormatError(f"expected {need} data bytes for n={n}, got {len(data)}")
-    stream: list[int] = []
-    for ch in data:
-        val = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            stream.append((val >> shift) & 1)
-    if any(stream[nbits:]):
+    stream = "".join([format(ord(ch) - 63, "06b") for ch in data])
+    if "1" in stream[nbits:]:
         raise GraphFormatError("nonzero padding bits")
-    bits = 0
-    for pos, (i, j) in enumerate(_column_major_pairs(n)):
-        if stream[pos]:
-            bits |= 1 << edge_index(n, i, j)
-    return Graph(n, bits)
+    _, where = _stream_slots(n)
+    return Graph(n, int("".join([stream[pos] for pos in where]) or "0", 2))

@@ -3,8 +3,10 @@
 A graph stores its edge set as a single Python integer: bit k stands for the
 k-th unordered pair (i, j) with i < j, pairs taken in lexicographic order.
 That keeps union, complement and membership at machine speed and makes every
-value hashable and immutable.  The canonical form of a graph is its least
-edge bitset over all orderings of its non-isolated vertices, found by a
+value hashable and immutable.  ``_map_slots`` is the one map of an edge
+bitset through a slot map, and ``_edge_variable`` the truth table of one
+edge over all graphs.  The canonical form of a graph is its least edge
+bitset over all orderings of its non-isolated vertices, found by a
 row-by-row search that keeps only the least partial orderings; it is
 available while that support is small (at most 10 vertices).
 
@@ -66,6 +68,24 @@ def _vertex_edge_map(sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Slot k, the pair (i, j), goes to the slot of (sigma[i], sigma[j])."""
     n = len(sigma)
     return tuple(edge_index(n, sigma[i], sigma[j]) for i, j in pair_table(n))
+
+
+def _map_slots(slot_map: tuple[int, ...], bits: int) -> int:
+    """The edge bitset with bit slot_map[k] set for every set bit k of bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << slot_map[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def _edge_variable(slots: int, k: int) -> int:
+    """Truth table of edge variable k over the graphs g < 2^slots: blocks of
+    2^k clear then 2^k set positions, exactly the g with bit k set."""
+    width = 1 << k
+    return ((1 << (1 << slots)) - 1) // ((1 << width) + 1) << width
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -177,8 +197,7 @@ def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     """Image of g under the vertex permutation v -> perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
-    slot = _vertex_edge_map(tuple(perm))
-    return Graph(g.n, sum(1 << slot[k] for k in iter_bits(g.edges)))
+    return Graph(g.n, _map_slots(_vertex_edge_map(tuple(perm)), g.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ cross and the 1-1 edges, which must be about half of all edges, and
 orientability counts the cross edges, which must split into d_plus and
 d_minus within one of each other and of the same-label edges.  So every
 decision compares one count against one bitmask of the passing counts per
-property and edge count.  Two layouts feed it:
+property and edge count.  This module alone decides membership, of one
+graph or of a whole table, and three layouts feed it:
 
 - bulk decisions (has_property and the searches built on it) read one mask
   table per support, one int per friendly labeling holding both classes,
@@ -25,7 +26,11 @@ property and edge count.  Two layouts feed it:
   columns per support size, one int per support position with one bit per
   friendly labeling.  They count the class of every labeling at once by
   bit-sliced addition, and read the least witness off the bitset of the
-  labelings that pass.
+  labelings that pass;
+- whole tables (``membership_bitmap``, one bit per graph on n vertices up to
+  MEMBERSHIP_VERTEX_LIMIT) read the bulk mask tables and decide no graph on
+  its own: a bit-sliced sum of edge variables (Knuth, TAOCP 4A, 7.1.3)
+  counts each probed edge set in every graph at once.
 """
 
 from __future__ import annotations
@@ -36,7 +41,11 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import MAX_VERTICES, Graph, _support_of_bits, edge_slots, incident_masks, iter_bits
+from .errors import BudgetError
+from .graphs import MAX_VERTICES, Graph, _edge_variable, _support_of_bits, edge_slots
+from .graphs import incident_masks, iter_bits
+
+MEMBERSHIP_VERTEX_LIMIT = 6
 
 
 class GraphProperty(Enum):
@@ -378,3 +387,72 @@ def check_23_cordial_digraph(g: Graph, orientation: Orientation, labeling: Verte
         arc = (a - b) if (orientation.bits >> r & 1) else (b - a)
         counts[arc + 1] += 1
     return max(counts) - min(counts) <= 1
+
+
+# ---------------------------------------------------------------------------
+# whole membership tables
+
+@lru_cache(maxsize=None)
+def _level_tables(slots: int) -> tuple[int, ...]:
+    """Per edge count m = 0..slots, the truth table of the graphs with m edges,
+    read off one bit-sliced sum of the edge variables."""
+    planes = _sliced_sum(_edge_variable(slots, k) for k in range(slots))
+    full = (1 << (1 << slots)) - 1
+    return tuple(_lanes_counting(planes, 1 << m, full) for m in range(slots + 1))
+
+
+@lru_cache(maxsize=None)
+def membership_bitmap(n: int, prop: GraphProperty) -> int:
+    """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member.
+
+    A graph with support S is a member when some _label_masks(n, S) entry,
+    read through _probe's window, holds a passing count of its edges.  The
+    pass table of a windowed edge set marks the graphs where its count,
+    summed bit-sliced over its edge variables, passes at the graph's edge
+    count; entries with the same edge set share one.  The table is the OR
+    over supports S of [support(g) = S] AND the OR of S's pass tables."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n > MEMBERSHIP_VERTEX_LIMIT:
+        raise BudgetError(
+            f"membership tables are kept only up to n={MEMBERSHIP_VERTEX_LIMIT}; n={n} requested"
+        )
+    slots = edge_slots(n)
+    full = (1 << (1 << slots)) - 1
+    var = [_edge_variable(slots, k) for k in range(slots)]
+    # within[c]: the graphs whose edge count passes with c edges in the probed class.
+    within = [0] * (slots + 1)
+    for m, level in enumerate(_level_tables(slots)):
+        for c in iter_bits(_passing(prop, m)):
+            within[c] |= level
+    window = _probe(n, (1 << slots) - 1, prop)
+    var += var  # edge k sits at position k or slots + k of the window
+    passes: dict[int, int] = {}
+
+    def pass_table(probed: int) -> int:
+        table = passes.get(probed)
+        if table is None:
+            planes = _sliced_sum(var[k] for k in iter_bits(probed))
+            table = 0
+            for c, ok in enumerate(within):
+                if ok:
+                    table |= _lanes_counting(planes, 1 << c, full) & ok
+            passes[probed] = table
+        return table
+
+    cover = [0] * n
+    for v, inc in enumerate(incident_masks(n)):
+        for k in iter_bits(inc):
+            cover[v] |= var[k]
+    bitmap = 0
+    for support in range(1 << n):
+        if support.bit_count() < 2:
+            continue  # the edgeless graph, and no graph has one vertex of support
+        on = full
+        for v in range(n):
+            on &= cover[v] if support >> v & 1 else ~cover[v]
+        friendly = 0
+        for mask in _label_masks(n, support):
+            friendly |= pass_table(mask & window)
+        bitmap |= on & friendly
+    return bitmap

@@ -6,16 +6,12 @@ G's edges, and the empty graph always maps to itself.  Strong preservation
 of a graph class means membership of G and of apply(op, G) agree for every
 graph, equivalently the operator preserves the class and its complement.
 
-Verification works against precomputed membership tables over all 2^C(n,2)
-graphs; ``membership_bitmap`` alone refuses n > 6, so every check that reads
-a table stops there with its message.  A table is the truth table of a
-Boolean function of the C(n,2) edge variables, and an edge bijection
-permutes those variables.  Tables are built from that view too, with no
-decision per graph: ``membership_bitmap`` counts each label set's probed
-edge class in every graph at once by bit-sliced addition of the edge
-variables (Knuth, TAOCP 4A, 7.1.3), and combines the passing counts with the
-edge-count levels and the support of each graph.  Graph-by-graph scans read
-a table through one text view, ``_flags``.  The exact paths share one kernel:
+Verification reads the membership tables of ``labeling.membership_bitmap``,
+which alone refuses n > 6.  A table is the truth table of a Boolean function
+of the C(n,2) edge variables, and an edge bijection permutes those
+variables.  Graph-by-graph scans read a table through one text view,
+``_flags``, and map graphs through slot maps with ``graphs._map_slots``.
+The exact paths share one kernel:
 
 - ``strongly_preserves`` applies a bijection's variable permutation to the
   whole table with one delta swap per transposition (Knuth, TAOCP 4A,
@@ -54,26 +50,18 @@ from typing import NamedTuple
 from .errors import BudgetError
 from .graphs import (
     Graph,
+    _edge_variable,
+    _map_slots,
     _vertex_edge_map,
     edge_index,
     edge_slots,
-    incident_masks,
     iter_bits,
     pair_table,
 )
-from .labeling import (
-    GraphProperty,
-    _decide_bits,
-    _friendly_label_bits,
-    _lanes_counting,
-    _passing,
-    _probed_edges,
-    _sliced_sum,
-)
+from .labeling import MEMBERSHIP_VERTEX_LIMIT, GraphProperty, _decide_bits, _level_tables, membership_bitmap
 
 EXHAUSTIVE_BIJECTION_BUDGET = 4_000_000
 SURVIVOR_BUDGET = 100_000
-MEMBERSHIP_VERTEX_LIMIT = 6
 VERTEX_ONLY_LIMIT = 8
 VERTEX_ONLY_SPOT_CHECKS = 32
 
@@ -232,23 +220,6 @@ def idempotent_power(op: LinearOperator) -> tuple[LinearOperator, int]:
 # ---------------------------------------------------------------------------
 # membership tables and strong preservation
 
-@lru_cache(maxsize=None)
-def _edge_variable(slots: int, k: int) -> int:
-    """Truth table of edge variable k over the graphs g < 2^slots: blocks of
-    2^k clear then 2^k set positions, exactly the g with bit k set."""
-    width = 1 << k
-    return ((1 << (1 << slots)) - 1) // ((1 << width) + 1) << width
-
-
-@lru_cache(maxsize=None)
-def _level_tables(slots: int) -> tuple[int, ...]:
-    """Per edge count m = 0..slots, the truth table of the graphs with m edges,
-    read off one bit-sliced sum of the edge variables."""
-    planes = _sliced_sum(_edge_variable(slots, k) for k in range(slots))
-    full = (1 << (1 << slots)) - 1
-    return tuple(_lanes_counting(planes, 1 << m, full) for m in range(slots + 1))
-
-
 def _flags(bm: int, slots: int) -> str:
     """Membership table bm as text: character g is "1" iff graph g is a member."""
     return format(bm, f"0{1 << slots}b")[::-1]
@@ -258,64 +229,6 @@ def _mixed_levels(bm: int, slots: int) -> list[int]:
     """The edge-count level tables that hold both members and non-members of
     bm: a bijection keeps edge counts, so only there can it change membership."""
     return [level for level in _level_tables(slots) if bm & level not in (0, level)]
-
-
-@lru_cache(maxsize=None)
-def membership_bitmap(n: int, prop: GraphProperty) -> int:
-    """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member.
-
-    Built from whole tables: a graph g with support S is a member when some
-    friendly label set L of S puts a passing count of g's edges in the class
-    prop probes (see labeling._passing).  For each L, a bit-sliced sum of
-    that class's edge variables counts it in every graph at once; pass[L] is
-    where the count passes at the graph's own edge count.  pass[L] depends only
-    on L's probed edges (``_probed_edges``), so complement pairs, and for
-    product the one-vertex label sets, share one.  The table is the OR over
-    supports S of [support(g) = S] AND the OR of pass[L] over L."""
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > MEMBERSHIP_VERTEX_LIMIT:
-        raise BudgetError(
-            f"membership tables are kept only up to n={MEMBERSHIP_VERTEX_LIMIT}; n={n} requested"
-        )
-    slots = edge_slots(n)
-    full = (1 << (1 << slots)) - 1
-    var = [_edge_variable(slots, k) for k in range(slots)]
-    # within[c]: the graphs whose edge count passes with c edges in the probed class.
-    within = [0] * (slots + 1)
-    for m, level in enumerate(_level_tables(slots)):
-        for c in iter_bits(_passing(prop, m)):
-            within[c] |= level
-    passes: dict[int, int] = {}
-
-    def pass_table(labels: int) -> int:
-        probed = _probed_edges(n, labels, prop)
-        table = passes.get(probed)
-        if table is None:
-            planes = _sliced_sum(var[k] for k in iter_bits(probed))
-            table = 0
-            for c, ok in enumerate(within):
-                if ok:
-                    table |= _lanes_counting(planes, 1 << c, full) & ok
-            passes[probed] = table
-        return table
-
-    cover = [0] * n
-    for v, inc in enumerate(incident_masks(n)):
-        for k in iter_bits(inc):
-            cover[v] |= var[k]
-    bitmap = 0
-    for support in range(1 << n):
-        if support.bit_count() < 2:
-            continue  # the edgeless graph, and no graph has one vertex of support
-        on = full
-        for v in range(n):
-            on &= cover[v] if support >> v & 1 else ~cover[v]
-        friendly = 0
-        for labels in _friendly_label_bits(support):
-            friendly |= pass_table(labels)
-        bitmap |= on & friendly
-    return bitmap
 
 
 @lru_cache(maxsize=None)
@@ -506,9 +419,8 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
         if pi in vset:
             discarded += 1
             continue
-        images = [1 << t for t in pi]
         for g in order:
-            if flags[g] != flags[_apply_bits(images, g)]:
+            if flags[g] != flags[_map_slots(pi, g)]:
                 found.append((i, pi, g))
                 break
         else:
@@ -530,9 +442,7 @@ def confirmed_failures(report: SearchReport) -> int:
     confirmed = 0
     for failure in report.failures:
         g = failure.counterexample.edges
-        if g:
-            img = _apply_bits([1 << t for t in failure.edge_map], g)
-            confirmed += member(g) != member(img)
+        confirmed += member(g) != member(_map_slots(failure.edge_map, g))
     return confirmed
 
 
@@ -555,20 +465,16 @@ def _search_vertex_only(n: int, prop: GraphProperty, seed: int) -> SearchReport:
         return SearchReport(n, prop, "vertex-only", total, ops, failures=tuple(failures))
     # Beyond the membership-table limit the permutations are spot-checked on
     # seeded random graphs; operators are not materialized at this size.
-    samples = []
     rng = random.Random(f"{seed}:graphs")
     slots = edge_slots(n)
-    seen = set()
-    while len(samples) < VERTEX_ONLY_SPOT_CHECKS:
+    member: dict[int, bool] = {}  # the sampled graphs in draw order
+    while len(member) < VERTEX_ONLY_SPOT_CHECKS:
         g = rng.getrandbits(slots)
-        if g and g not in seen:
-            seen.add(g)
-            samples.append(g)
-    member = {g: _decide_bits(n, g, prop) for g in samples}
+        if g and g not in member:
+            member[g] = _decide_bits(n, g, prop)
     for pi in maps:
-        images = [1 << t for t in pi]
-        for g in samples:
-            if _decide_bits(n, _apply_bits(images, g), prop) != member[g]:
+        for g in member:
+            if _decide_bits(n, _map_slots(pi, g), prop) != member[g]:
                 failures.append(SampleFailure(-1, pi, Graph(n, g)))
                 break
     return SearchReport(n, prop, "vertex-only", total, (), failures=tuple(failures))

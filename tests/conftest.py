@@ -43,7 +43,9 @@ oracle intersects the image endpoints of all n - 1 edges at every vertex,
 where ``is_vertex_permutation`` reads two, and checks the induced slot map
 pair by pair; the relabel oracle is the pair-by-pair loop that reading
 ``_vertex_edge_map`` replaced, so the round trip of ``apply`` against
-``relabel`` does not compare that map with itself."""
+``relabel`` does not compare that map with itself; it also checks
+``_map_slots`` on vertex maps.  The graph6 oracles are the pair-by-pair codec
+that one cached slot order per n replaced, with every message verbatim."""
 
 from __future__ import annotations
 
@@ -56,6 +58,7 @@ from cordia import (
     BudgetError,
     CanonicalKey,
     Graph,
+    GraphFormatError,
     GraphProperty,
     LinearOperator,
     Orientation,
@@ -64,6 +67,7 @@ from cordia import (
     membership_bitmap,
 )
 from cordia.graphs import (
+    MAX_VERTICES,
     SUBSET_BUDGET,
     _canonical_key_bits,
     canonical_representative,
@@ -201,6 +205,60 @@ def oracle_relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
         i, j = pt[k]
         bits |= 1 << edge_index(g.n, perm[i], perm[j])
     return Graph(g.n, bits)
+
+
+def _column_major_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def oracle_to_graph6(g: Graph) -> str:
+    """to_graph6(g), one bit per pair through edge_index, packed six at a time."""
+    n = g.n
+    out = [chr(n + 63)]
+    stream = [(g.edges >> edge_index(n, i, j)) & 1 for i, j in _column_major_pairs(n)]
+    for at in range(0, len(stream), 6):
+        group = stream[at:at + 6]
+        group += [0] * (6 - len(group))
+        val = 0
+        for bit in group:
+            val = (val << 1) | bit
+        out.append(chr(val + 63))
+    return "".join(out)
+
+
+def oracle_parse_graph6(text: str) -> Graph:
+    """parse_graph6(text), unpacked to a list of bits and placed pair by pair."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphFormatError("empty graph6 string")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise GraphFormatError(f"byte {ch!r} outside the graph6 alphabet")
+    head = ord(s[0]) - 63
+    if head == 63:
+        raise GraphFormatError("long-form vertex counts are not supported")
+    n = head
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+    nbits = edge_slots(n)
+    need = (nbits + 5) // 6
+    data = s[1:]
+    if len(data) != need:
+        raise GraphFormatError(f"expected {need} data bytes for n={n}, got {len(data)}")
+    stream: list[int] = []
+    for ch in data:
+        val = ord(ch) - 63
+        for shift in range(5, -1, -1):
+            stream.append((val >> shift) & 1)
+    if any(stream[nbits:]):
+        raise GraphFormatError("nonzero padding bits")
+    bits = 0
+    for pos, (i, j) in enumerate(_column_major_pairs(n)):
+        if stream[pos]:
+            bits |= 1 << edge_index(n, i, j)
+    return Graph(n, bits)
 
 
 def near_bijection(n: int, rng: random.Random) -> LinearOperator:

@@ -37,11 +37,14 @@ from cordia.graphs import (
     _canonical_key_bits,
     _edge_invariants,
     _extension_slots,
+    _map_slots,
     _twin_classes,
+    _vertex_edge_map,
     incident_masks,
     iter_bits,
     pair_table,
 )
+from cordia.preserver import _apply_bits
 
 from conftest import (
     brute_isomorphic,
@@ -50,7 +53,9 @@ from conftest import (
     oracle_connected_on_support,
     oracle_enumerate_keys,
     oracle_extend_level,
+    oracle_parse_graph6,
     oracle_relabel,
+    oracle_to_graph6,
     oracle_support_mask,
 )
 
@@ -139,6 +144,24 @@ def test_relabel_matches_pair_by_pair_oracle(n):
     for bits, perm in cases:
         g = Graph(n, bits)
         assert relabel(g, perm) == oracle_relabel(g, perm)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_map_slots_matches_image_list_and_pair_by_pair_oracle(n):
+    # Seeded slot maps against the per-map image list that _map_slots
+    # replaced, and vertex maps against the pair-by-pair relabel loop.
+    rng = random.Random(f"map_slots:{n}")
+    slots = edge_slots(n)
+    graphs = [0, (1 << slots) - 1] + [rng.getrandbits(slots) for _ in range(20)]
+    for _ in range(10):
+        slot_map = tuple(rng.sample(range(slots), slots))
+        images = [1 << t for t in slot_map]
+        for bits in graphs:
+            assert _map_slots(slot_map, bits) == _apply_bits(images, bits), (slot_map, bits)
+        perm = tuple(rng.sample(range(n), n))
+        for bits in graphs:
+            got = _map_slots(_vertex_edge_map(perm), bits)
+            assert got == oracle_relabel(Graph(n, bits), perm).edges, (perm, bits)
 
 
 @settings(deadline=None, derandomize=True)
@@ -368,3 +391,34 @@ def test_graph6_rejects_nonzero_padding():
     # K2's byte has 1 data bit; force a padding bit on
     with pytest.raises(GraphFormatError):
         parse_graph6("A" + chr(63 + 0b010001))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_graph6_matches_pair_loop_oracle(n):
+    # Every graph up to n=5, 200 seeded graphs (empty and complete among
+    # them) from n=6 on.
+    slots = edge_slots(n)
+    if n <= 5:
+        cases = range(1 << slots)
+    else:
+        rng = random.Random(f"graph6:{n}")
+        cases = [0, (1 << slots) - 1] + [rng.getrandbits(slots) for _ in range(198)]
+    for bits in cases:
+        g = Graph(n, bits)
+        text = to_graph6(g)
+        assert text == oracle_to_graph6(g), bits
+        assert parse_graph6(text) == oracle_parse_graph6(text) == g, bits
+
+
+def test_graph6_malformed_matches_oracle_messages():
+    # Every malformed input fails with the oracle's exception type and message.
+    bad_inputs = [
+        "", ">>graph6<<", "C", "C~~", "~??", chr(62) + "_", "A" + chr(127), "A@",
+        "A" + chr(63 + 0b010001), "B@", "Q", "P" + "~" * 20, "O" + "~" * 19, "O" + "~" * 20 + "?",
+    ]
+    for bad in bad_inputs:
+        with pytest.raises(GraphFormatError) as want:
+            oracle_parse_graph6(bad)
+        with pytest.raises(GraphFormatError) as got:
+            parse_graph6(bad)
+        assert str(got.value) == str(want.value), bad

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cordia.labeling as labeling_module
 import cordia.preserver as preserver_module
 from cordia import (
     BudgetError,
@@ -284,10 +285,41 @@ def test_membership_bitmap_makes_no_per_graph_decision(monkeypatch):
         raise AssertionError("membership_bitmap decided a graph on its own")
 
     want = {prop: oracle_membership_bitmap(6, prop) for prop in GraphProperty}
+    monkeypatch.setattr(labeling_module, "_decide_bits", decide)
     monkeypatch.setattr(preserver_module, "_decide_bits", decide)
     membership_bitmap.cache_clear()
     for prop in GraphProperty:
         assert membership_bitmap(6, prop) == want[prop]
+
+
+def test_membership_bitmap_reads_the_mask_tables(monkeypatch):
+    # A cold n=6 build reads each support's _label_masks entries through the
+    # probe window: no label set is enumerated or probed on its own, and one
+    # pass table (one _sliced_sum, the level tables being warm) is built per
+    # distinct probed edge set.
+    calls = {"_probed_edges": 0, "_friendly_label_bits": 0, "_sliced_sum": 0}
+
+    def counting(name):
+        real = getattr(labeling_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    labeling_module._level_tables(edge_slots(6))
+    for name in calls:
+        monkeypatch.setattr(labeling_module, name, counting(name))
+    membership_bitmap.cache_clear()
+    labeling_module._label_masks.cache_clear()
+    pass_tables = {}
+    for prop in GraphProperty:
+        before = calls["_sliced_sum"]
+        assert membership_bitmap(6, prop).bit_count() == MEMBER_COUNTS[6][prop]
+        pass_tables[prop.value] = calls["_sliced_sum"] - before
+    assert calls["_probed_edges"] == calls["_friendly_label_bits"] == 0
+    assert pass_tables == {"sum": 31, "product": 36, "orient23": 31}
 
 
 @pytest.mark.parametrize("n", range(0, 7))
