@@ -70,13 +70,15 @@ def _vertex_edge_map(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(edge_index(n, sigma[i], sigma[j]) for i, j in pair_table(n))
 
 
-def _map_slots(slot_map: tuple[int, ...], bits: int) -> int:
-    """The edge bitset with bit slot_map[k] set for every set bit k of bits."""
+def _map_slots(slot_map: tuple[int, ...], slots: Iterable[int]) -> int:
+    """The edge bitset with bit slot_map[k] set for every slot k of slots.
+
+    slots are a graph's set edge bits, ``iter_bits(bits)`` or a tuple of
+    them; a caller that maps one graph through many slot maps reads its
+    slots once and passes the tuple each time."""
     out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << slot_map[low.bit_length() - 1]
-        bits ^= low
+    for k in slots:
+        out |= 1 << slot_map[k]
     return out
 
 
@@ -197,7 +199,7 @@ def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     """Image of g under the vertex permutation v -> perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
-    return Graph(g.n, _map_slots(_vertex_edge_map(tuple(perm)), g.edges))
+    return Graph(g.n, _map_slots(_vertex_edge_map(tuple(perm)), iter_bits(g.edges)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,13 @@ edge-count levels of mixed membership can show a mismatch: ``_scan_order``
 lists their graphs level by level, non-members leading, and a failure records
 the first mismatch in that order.  The draws depend on the seed and the
 count, not on the property, so a process keeps its last set of edge maps
-(``_sample_draws``) for the next search, and the failures of one search share
-one ``Graph`` per distinct counterexample; ``confirmed_failures`` re-decides
-them without the table.  Every search runs in the calling process: a scan
-costs less than starting a worker would.
+(``_sample_draws``) for the next search.  Those are the maps
+``random.Random(f"{seed}:{i}").sample`` gives, read off one block of twister
+outputs per index, so they cost about what the seedings do.  A search reads
+the slots of each graph it reaches once, and its failures share one
+``Graph`` per distinct counterexample; ``confirmed_failures`` re-decides them
+without the table.  Every search runs in the calling process: a scan costs
+less than starting a worker would.
 """
 
 from __future__ import annotations
@@ -320,15 +323,47 @@ def _set_positions(table: int) -> list[int]:
 @lru_cache(maxsize=1)
 def _sample_draws(slots: int, seed: int, count: int) -> tuple[tuple[int, ...], ...]:
     """Edge maps of sample indices 0..count-1.  Index i draws from its own
-    stream, seeded "{seed}:{i}".  The maps do not depend on the property, so
-    the last set is kept for the next search on the same slots, seed and
-    count."""
+    stream, seeded "{seed}:{i}": its map is
+    ``random.Random(f"{seed}:{i}").sample(range(slots), slots)``.  The maps do
+    not depend on the property, so the last set is kept for the next search
+    on the same slots, seed and count.
+
+    That call is a Durstenfeld shuffle read backwards (Durstenfeld,
+    "Algorithm 235: Random permutation", CACM 1964): step i = slots-1 ... 1
+    swaps positions i and j = randbelow(i + 1), and randbelow takes the top
+    (i+1).bit_length() bits of one 32-bit twister output, drawing again while
+    j > i.  Here the steps read the top bytes of one block of outputs,
+    ``getrandbits(1024).to_bytes(128, "little")[3::4]`` in stream order, since
+    slots <= C(16,2) = 120 < 256 means one top byte holds every bound.  Step
+    0 is a self-swap and is skipped; every index reseeds, so nothing after
+    the last step is read.  An index that runs out of its block reseeds and
+    starts again with a block twice as long."""
     rng = random.Random()
-    population = range(slots)
+    steps = []
+    for i in range(slots - 1, 0, -1):
+        shift = 8 - (i + 1).bit_length()
+        steps.append((i, (i + 1) << shift, shift))
+    start = list(range(slots))
     draws = []
-    for i in range(count):
-        rng.seed(f"{seed}:{i}")
-        draws.append(tuple(rng.sample(population, slots)))
+    for index in range(count):
+        key = f"{seed}:{index}"
+        words = 32
+        while True:
+            rng.seed(key)
+            tops = iter(rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4])
+            pool = start[:]
+            for i, bound, shift in steps:
+                for b in tops:
+                    if b < bound:
+                        break
+                else:
+                    break  # the block ran out
+                j = b >> shift
+                pool[i], pool[j] = pool[j], pool[i]
+            else:
+                break
+            words *= 2
+        draws.append(tuple(reversed(pool)))
     return tuple(draws)
 
 
@@ -412,23 +447,30 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
         raise ValueError("sample count must be positive")
     flags, order = _scan_order(n, prop)
     vset = _vertex_induced_set(n)
+    slots_of: dict[int, tuple[int, ...]] = {}  # each graph the scan reaches
+    graphs: dict[int, Graph] = {}  # each distinct counterexample
     discarded = 0
     passing = []
-    found = []
+    failures = []
     for i, pi in enumerate(_sample_draws(edge_slots(n), seed, count)):
         if pi in vset:
             discarded += 1
             continue
         for g in order:
-            if flags[g] != flags[_map_slots(pi, g)]:
-                found.append((i, pi, g))
+            slots = slots_of.get(g)
+            if slots is None:
+                slots = slots_of[g] = tuple(iter_bits(g))
+            if flags[g] != flags[_map_slots(pi, slots)]:
+                cex = graphs.get(g)
+                if cex is None:
+                    cex = graphs[g] = Graph(n, g)
+                # tuple.__new__ skips the generated __new__ of the named tuple.
+                failures.append(tuple.__new__(SampleFailure, (i, pi, cex)))
                 break
         else:
             passing.append(pi)
-    graphs = {g: Graph(n, g) for g in {g for _, _, g in found}}
-    failures = tuple(SampleFailure(i, pi, graphs[g]) for i, pi, g in found)
     ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
-    return SearchReport(n, prop, "sample", count, ops, discarded, failures)
+    return SearchReport(n, prop, "sample", count, ops, discarded, tuple(failures))
 
 
 def confirmed_failures(report: SearchReport) -> int:
@@ -439,10 +481,11 @@ def confirmed_failures(report: SearchReport) -> int:
     confirmed."""
     n, prop = report.n, report.property
     member = lru_cache(maxsize=None)(lambda g: _decide_bits(n, g, prop))
+    slots_of = lru_cache(maxsize=None)(lambda g: tuple(iter_bits(g)))
     confirmed = 0
     for failure in report.failures:
         g = failure.counterexample.edges
-        confirmed += member(g) != member(_map_slots(failure.edge_map, g))
+        confirmed += member(g) != member(_map_slots(failure.edge_map, slots_of(g)))
     return confirmed
 
 
@@ -472,9 +515,10 @@ def _search_vertex_only(n: int, prop: GraphProperty, seed: int) -> SearchReport:
         g = rng.getrandbits(slots)
         if g and g not in member:
             member[g] = _decide_bits(n, g, prop)
+    checks = [(g, tuple(iter_bits(g)), m) for g, m in member.items()]
     for pi in maps:
-        for g in member:
-            if _decide_bits(n, _map_slots(pi, g), prop) != member[g]:
+        for g, ks, m in checks:
+            if _decide_bits(n, _map_slots(pi, ks), prop) != m:
                 failures.append(SampleFailure(-1, pi, Graph(n, g)))
                 break
     return SearchReport(n, prop, "vertex-only", total, (), failures=tuple(failures))

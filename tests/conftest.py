@@ -31,7 +31,9 @@ isomorphism classes replaced; it decides with ``_decide_bits``, so it checks
 the route through the classes and the least-key witness, not the decider.
 The sample oracle is sample mode before its draws were shared and its scan
 was cut to the mixed edge-count levels: a fresh draw per call, every nonempty
-graph in the scan order, and one ``Graph`` per failure.  The scan-order
+graph in the scan order, and one ``Graph`` per failure.  The draws oracle
+is the ``random.sample`` call per index that reading the shuffle off one
+block of twister outputs replaced.  The scan-order
 oracle is the graph-by-graph sort into edge-count levels that reading the
 level tables replaced.  The injectivity and surjectivity oracles are the
 walks over every graph's image that the edge-bijection criterion replaced.
@@ -700,6 +702,17 @@ def _bijection_counterexample(pi, pairs, bm) -> int | None:
         if (bm >> g ^ bm >> img) & 1:
             return g
     return None
+
+
+def oracle_sample_draws(slots: int, seed: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """_sample_draws(slots, seed, count): index i's edge map is
+    random.Random(f"{seed}:{i}").sample(range(slots), slots)."""
+    rng = random.Random()
+    draws = []
+    for i in range(count):
+        rng.seed(f"{seed}:{i}")
+        draws.append(tuple(rng.sample(range(slots), slots)))
+    return tuple(draws)
 
 
 def oracle_sample_report(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:

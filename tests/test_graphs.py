@@ -157,10 +157,11 @@ def test_map_slots_matches_image_list_and_pair_by_pair_oracle(n):
         slot_map = tuple(rng.sample(range(slots), slots))
         images = [1 << t for t in slot_map]
         for bits in graphs:
-            assert _map_slots(slot_map, bits) == _apply_bits(images, bits), (slot_map, bits)
+            got = _map_slots(slot_map, tuple(iter_bits(bits)))
+            assert got == _apply_bits(images, bits), (slot_map, bits)
         perm = tuple(rng.sample(range(n), n))
         for bits in graphs:
-            got = _map_slots(_vertex_edge_map(perm), bits)
+            got = _map_slots(_vertex_edge_map(perm), iter_bits(bits))
             assert got == oracle_relabel(Graph(n, bits), perm).edges, (perm, bits)
 
 

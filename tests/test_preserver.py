@@ -51,6 +51,7 @@ from conftest import (
     oracle_is_vertex_permutation,
     oracle_membership_bitmap,
     oracle_relabel,
+    oracle_sample_draws,
     oracle_sample_report,
     oracle_scan_order,
     oracle_strongly_preserves,
@@ -591,14 +592,39 @@ def test_sample_mode_workers_agree():
 @pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
 @pytest.mark.parametrize("n", range(2, 7))
 def test_sample_mode_matches_oracle(n, prop):
-    for seed in (0, 7):
-        for count in (1, 50, 300):
-            want = oracle_sample_report(n, prop, count, seed)
-            for workers in (1, 2):
-                got = search_strong_preservers(
-                    n, prop, "sample", count=count, seed=seed, workers=workers
-                )
-                assert got == want, (seed, count, workers)
+    cases = [(seed, count) for seed in (0, 7) for count in (1, 50, 300)]
+    if n == 6:
+        cases.append((2001, 5000))  # the benchmark's scale
+    for seed, count in cases:
+        want = oracle_sample_report(n, prop, count, seed)
+        for workers in (1, 2):
+            got = search_strong_preservers(
+                n, prop, "sample", count=count, seed=seed, workers=workers
+            )
+            assert got == want, (seed, count, workers)
+
+
+@pytest.mark.parametrize("n", range(0, 17))
+def test_sample_draws_match_random_sample(n):
+    # slots = 120 at n = 16 takes 119 steps, more than one block of 32
+    # outputs holds, so every index there runs the refill.
+    slots = edge_slots(n)
+    cases = [(seed, 200) for seed in (0, 7, 2001)]
+    if n == 6:
+        cases.append((1, 20_000))  # the benchmark's scale
+    for seed, count in cases:
+        assert _sample_draws(slots, seed, count) == oracle_sample_draws(slots, seed, count), seed
+
+
+def test_sample_draws_do_not_call_random_sample(monkeypatch):
+    want = oracle_sample_draws(15, 3, 100)
+
+    def sample(*args, **kwargs):
+        raise AssertionError("random.Random.sample was called")
+
+    monkeypatch.setattr(Random, "sample", sample)
+    _sample_draws.cache_clear()
+    assert _sample_draws(15, 3, 100) == want
 
 
 def test_sample_draws_are_keyed_by_slots_seed_and_indices():
