@@ -91,6 +91,8 @@ def _cmd_bound(args) -> tuple[dict, dict, int]:
 def _cmd_extremal(args) -> tuple[dict, dict, int]:
     prop = GraphProperty(args.property)
     if args.mode == "empirical":
+        if args.edge_cap is not None:
+            raise ValueError("--edge-cap only applies to minimal mode")
         if args.n is None:
             raise ValueError("empirical mode needs --n")
         inputs = {"mode": args.mode, "n": args.n, "property": prop.value}
@@ -104,11 +106,14 @@ def _cmd_extremal(args) -> tuple[dict, dict, int]:
             "witness": _graph_json(report.witness),
         }
         return inputs, result, 0
-    inputs = {"edge_cap": args.edge_cap, "mode": args.mode, "property": prop.value}
-    rows = minimal_noncordial(prop, args.edge_cap)
+    if args.n is not None:
+        raise ValueError("--n only applies to empirical mode")
+    edge_cap = 4 if args.edge_cap is None else args.edge_cap
+    inputs = {"edge_cap": edge_cap, "mode": args.mode, "property": prop.value}
+    rows = minimal_noncordial(prop, edge_cap)
     result = {
         "count": len(rows),
-        "edge_cap": args.edge_cap,
+        "edge_cap": edge_cap,
         "graphs": [dict(_graph_json(g), edge_count=m) for m, g in rows],
         "property": prop.value,
     }
@@ -229,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--property", required=True, choices=_PROPERTIES)
     e.add_argument("--n", type=int, help="vertex count (empirical mode)")
     e.add_argument("--mode", choices=["empirical", "minimal"], default="empirical")
-    e.add_argument("--edge-cap", type=int, default=4, help="edge limit for minimal mode")
+    e.add_argument("--edge-cap", type=int, help="edge limit for minimal mode (default 4)")
 
     en = sub.add_parser("enumerate", parents=[common], help="canonical graphs with n vertices, m edges")
     en.add_argument("--n", type=int, required=True)

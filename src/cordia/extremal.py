@@ -21,6 +21,9 @@ from .labeling import GraphProperty, _decide_bits
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One survey cell: the closed-form bounds (None below their domain),
+    the exhaustive maximum, and its least-key witness class."""
+
     n: int
     property: GraphProperty
     bound: int | None
@@ -65,6 +68,8 @@ def bound_23_orientable(n: int) -> int:
 
 
 def bounds_for(prop: GraphProperty, n: int) -> tuple[int, int | None]:
+    """(bound, alternate) for prop at n; only product has an alternate.
+    Below a closed form's domain this is a ValueError."""
     if prop is GraphProperty.SUM:
         return bound_sum_cordial(n), None
     if prop is GraphProperty.PRODUCT:

@@ -26,6 +26,7 @@ def _stream_slots(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def to_graph6(g: Graph) -> str:
+    """The short-form graph6 string of g, without the header."""
     order, _ = _stream_slots(g.n)
     slots = format(g.edges, f"0{len(order)}b")[::-1]  # character k is slot k
     stream = "".join([slots[k] for k in order]) + "0" * (-len(order) % 6)
@@ -34,6 +35,8 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    """The graph of one graph6 string, with or without the >>graph6<< header;
+    anything outside the short form on 1..16 vertices is a GraphFormatError."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]

@@ -54,6 +54,7 @@ def pair_table(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def edge_slots(n: int) -> int:
+    """C(n, 2), the number of edge slots on n vertices."""
     return n * (n - 1) // 2
 
 
@@ -156,9 +157,6 @@ class Graph:
     def support_size(self) -> int:
         return self.support_mask().bit_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.edges >> edge_index(self.n, i, j) & 1)
-
     def complement(self) -> "Graph":
         return Graph(self.n, ((1 << edge_slots(self.n)) - 1) ^ self.edges)
 
@@ -178,18 +176,22 @@ def make_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
 
 
 def empty(n: int) -> Graph:
+    """The edgeless graph on n vertices."""
     return Graph(n, 0)
 
 
 def complete(n: int) -> Graph:
+    """K_n, every edge slot set."""
     return Graph(n, (1 << edge_slots(n)) - 1)
 
 
 def edge_graph(n: int, pair: tuple[int, int]) -> Graph:
+    """The graph on n vertices whose only edge is pair."""
     return make_graph(n, [pair])
 
 
 def union(g: Graph, h: Graph) -> Graph:
+    """The edge union of two graphs on the same vertex count."""
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
     return Graph(g.n, g.edges | h.edges)
@@ -240,6 +242,7 @@ _ALIASES = {
 
 
 def named_tags() -> tuple[str, ...]:
+    """The catalog's canonical tags, sorted; aliases are not listed."""
     return tuple(sorted(_NAMED))
 
 

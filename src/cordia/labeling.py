@@ -22,7 +22,7 @@ graph or of a whole table, and three layouts feed it:
 - bulk decisions (has_property and the searches built on it) read one mask
   table per support, one int per friendly labeling holding both classes,
   and stop at the first labeling that passes;
-- witness searches (check_property and the check_* functions) read label
+- witness searches (check_property and check_23_orientable) read label
   columns per support size, one int per support position with one bit per
   friendly labeling.  They count the class of every labeling at once by
   bit-sliced addition, and read the least witness off the bitset of the
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .errors import BudgetError
 from .graphs import MAX_VERTICES, Graph, _edge_variable, _support_of_bits, edge_slots
@@ -49,6 +49,8 @@ MEMBERSHIP_VERTEX_LIMIT = 6
 
 
 class GraphProperty(Enum):
+    """The three labeling properties, named by their CLI spelling."""
+
     SUM = "sum"
     PRODUCT = "product"
     ORIENT23 = "orient23"
@@ -65,9 +67,6 @@ class VertexLabeling:
         if self.labels & ~self.support:
             raise ValueError("labels set outside the support")
 
-    def label_of(self, v: int) -> int:
-        return self.labels >> v & 1
-
 
 @dataclass(frozen=True)
 class Orientation:
@@ -83,18 +82,15 @@ class Orientation:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A decision with its least witness.  labeling and, for orient23,
+    orientation are None when the decision is False; labelings_examined
+    counts the friendly labelings of the counted vertex set, all of which
+    are decided at once."""
+
     decision: bool
     labeling: VertexLabeling | None
     orientation: Orientation | None
     labelings_examined: int
-
-
-def is_k_friendly(counts: Sequence[int], k: int) -> bool:
-    """True when the k class counts pairwise differ by at most one."""
-    vals = list(counts)
-    if len(vals) != k:
-        raise ValueError(f"expected {k} counts, got {len(vals)}")
-    return max(vals) - min(vals) <= 1
 
 
 def _friendly_entries(steps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -156,13 +152,6 @@ def _labeling_mask(g: Graph, ambient_friendly: bool) -> int:
     if ambient_friendly:
         return (1 << g.n) - 1
     return g.support_mask()
-
-
-def friendly_vertex_labelings(g: Graph, ambient_friendly: bool = False) -> Iterator[VertexLabeling]:
-    """All friendly labelings of g; ambient mode balances over all n vertices."""
-    mask = _labeling_mask(g, ambient_friendly)
-    for lab in _friendly_label_bits(mask):
-        yield VertexLabeling(lab, mask)
 
 
 def induced_edge_counts(g: Graph, labeling: VertexLabeling, prop: GraphProperty) -> tuple[int, int]:
@@ -351,16 +340,6 @@ def _check(g: Graph, prop: GraphProperty, support: int) -> Verdict:
     return Verdict(True, VertexLabeling(best, support), orientation, lanes)
 
 
-def check_sum_cordial(g: Graph) -> Verdict:
-    """Is some friendly labeling's mod-2 difference edge labeling 2-friendly?"""
-    return _check(g, GraphProperty.SUM, _labeling_mask(g, False))
-
-
-def check_product_cordial(g: Graph) -> Verdict:
-    """Is some friendly labeling's product edge labeling 2-friendly?"""
-    return _check(g, GraphProperty.PRODUCT, _labeling_mask(g, False))
-
-
 def check_23_orientable(g: Graph, ambient_friendly: bool = False) -> Verdict:
     """Does some orientation of g admit a 3-friendly arc labeling over some
     friendly vertex labeling?  Decided per labeling through the same/cross
@@ -369,6 +348,11 @@ def check_23_orientable(g: Graph, ambient_friendly: bool = False) -> Verdict:
 
 
 def check_property(g: Graph, prop: GraphProperty) -> Verdict:
+    """Decide prop on g with its least witness, balancing labels over the
+    non-isolated vertices.  g is sum cordial when some friendly labeling's
+    mod-2 difference edge labeling is 2-friendly, and product cordial when
+    some friendly labeling's product edge labeling is; orient23 is decided
+    as in check_23_orientable.  An edgeless g is a ValueError."""
     return _check(g, prop, _labeling_mask(g, False))
 
 

@@ -86,11 +86,17 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class PreserverVerdict:
+    """Whether an operator strongly preserves a property, and if not the
+    least graph, in ascending edge-bitset order, whose membership it changes."""
+
     strongly_preserves: bool
     counterexample: Graph | None
 
 
 class SampleFailure(NamedTuple):
+    """A rejected edge bijection: its sample index (-1 in vertex-only mode),
+    its slot map, and the graph whose membership it changes."""
+
     index: int
     edge_map: tuple[int, ...]
     counterexample: Graph
@@ -98,6 +104,17 @@ class SampleFailure(NamedTuple):
 
 @dataclass(frozen=True)
 class SearchReport:
+    """The outcome of search_strong_preservers.
+
+    candidates_checked counts the edge bijections the mode settles: all
+    C(n,2)! in exhaustive mode, the n! vertex maps in vertex-only mode, and
+    the draws in sample mode.  operators holds the survivors (none for the
+    spot-checked vertex-only sizes n = 7, 8).  discarded_vertex_induced
+    counts the sample draws skipped as vertex maps; it is 0 in the other
+    modes.  failures holds one SampleFailure per rejected draw in sample
+    mode and per failing vertex map in vertex-only mode; exhaustive mode
+    records none."""
+
     n: int
     property: GraphProperty
     mode: str
@@ -128,6 +145,7 @@ def _operator_from_edge_map(n: int, pi: tuple[int, ...]) -> LinearOperator:
 
 
 def identity_operator(n: int) -> LinearOperator:
+    """The operator mapping every single-edge graph to itself."""
     return _operator_from_edge_map(n, tuple(range(edge_slots(n))))
 
 
@@ -180,24 +198,20 @@ def is_nonsingular(op: LinearOperator) -> bool:
 
 
 def is_injective(op: LinearOperator) -> bool:
-    """True exactly when the images are distinct single edges.
+    """True exactly when the images are distinct single edges; the same
+    criterion decides surjectivity, so op is injective iff it is surjective.
 
     Each image of an injective op has an edge that no other image has: if
     images[k] lay inside the union of the others, the complete graph and the
     complete graph minus edge k would share an image.  Those C(n,2) private
     edges are distinct and fill all C(n,2) slots, so any second edge of an
     image would be private to another.  Distinct single edges permute the
-    slots, which is injective."""
-    return _edge_bijection(op) is not None
-
-
-def is_surjective(op: LinearOperator) -> bool:
-    """True exactly when the images are distinct single edges.
+    slots, which is injective and onto.
 
     A single-edge graph is the union of the images of some nonempty graph,
     so one of those images is that single edge.  A surjective op therefore
     hits all C(n,2) single-edge graphs with its C(n,2) images, so they are
-    distinct single edges; and a slot permutation is onto."""
+    distinct single edges."""
     return _edge_bijection(op) is not None
 
 
@@ -206,18 +220,6 @@ def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
     if outer.n != inner.n:
         raise ValueError("operators live on different vertex counts")
     return LinearOperator(outer.n, tuple(apply(outer, im) for im in inner.images))
-
-
-def idempotent_power(op: LinearOperator) -> tuple[LinearOperator, int]:
-    """(op^d, d) for the least d >= 1 with op^d idempotent; exists since the
-    powers of any map on a finite set eventually cycle."""
-    power = op
-    d = 1
-    while True:
-        if compose(power, power) == power:
-            return power, d
-        power = compose(op, power)
-        d += 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +375,6 @@ def _vertex_edge_maps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_vertex_edge_map(sigma) for sigma in permutations(range(n)))
 
 
-@lru_cache(maxsize=None)
-def _vertex_induced_set(n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(_vertex_edge_maps(n))
-
-
 def _pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
     """Every edge bijection that strongly preserves bm, the membership table at
     n, in lexicographic order.
@@ -446,7 +443,7 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
     if count < 1:
         raise ValueError("sample count must be positive")
     flags, order = _scan_order(n, prop)
-    vset = _vertex_induced_set(n)
+    vset = frozenset(_vertex_edge_maps(n))
     slots_of: dict[int, tuple[int, ...]] = {}  # each graph the scan reaches
     graphs: dict[int, Graph] = {}  # each distinct counterexample
     discarded = 0
@@ -590,6 +587,8 @@ def operator_table(op: LinearOperator) -> str:
 
 
 def parse_operator_table(text: str) -> LinearOperator:
+    """Inverse of operator_table; blank lines are skipped, and a line count
+    that is not C(n, 2) or an edge index out of range is a ValueError."""
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     count = len(rows)
     n = (1 + isqrt(1 + 8 * count)) // 2

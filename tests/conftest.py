@@ -95,7 +95,7 @@ from cordia.preserver import (
     SearchReport,
     _edge_bijection,
     _operator_from_edge_map,
-    _vertex_induced_set,
+    _vertex_edge_maps,
 )
 
 
@@ -279,6 +279,12 @@ def support_vertices(g: Graph) -> list[int]:
         seen.add(i)
         seen.add(j)
     return sorted(seen)
+
+
+def k_friendly(counts) -> bool:
+    """A labeling with these class counts is k-friendly, k = len(counts):
+    every two classes differ in size by at most one."""
+    return all(abs(a - b) <= 1 for a in counts for b in counts)
 
 
 def brute_friendly_labelings(g: Graph):
@@ -722,7 +728,7 @@ def oracle_sample_report(n: int, prop: GraphProperty, count: int, seed: int) -> 
     until its first mismatch."""
     pairs = _scan_pairs(n, prop)
     bm = membership_bitmap(n, prop)
-    vset = _vertex_induced_set(n)
+    vset = frozenset(_vertex_edge_maps(n))
     slots = edge_slots(n)
     discarded = 0
     passing = []

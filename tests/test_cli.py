@@ -331,7 +331,7 @@ def test_preservers_negative_count_is_a_usage_error(capsys):
     assert_usage_error(capsys, "--n", "7", "--mode", "vertex-only", "--count", "-5")
 
 
-# ---------------------------------------------------------------- parser errors
+# ---------------------------------------------------------- command-line errors
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -347,8 +347,24 @@ def test_preservers_negative_count_is_a_usage_error(capsys):
             ("preservers", "--property", "sum", "--n", "4", "--mode", "sample", "--workers", "2"),
             "unrecognized arguments: --workers 2",
         ),
+        (
+            ("extremal", "--property", "sum", "--mode", "minimal", "--n", "5"),
+            "--n only applies to empirical mode",
+        ),
+        (
+            ("extremal", "--property", "sum", "--n", "5", "--edge-cap", "2"),
+            "--edge-cap only applies to minimal mode",
+        ),
     ],
-    ids=["bad-choice", "bad-int", "unknown-option", "missing-required", "workers"],
+    ids=[
+        "bad-choice",
+        "bad-int",
+        "unknown-option",
+        "missing-required",
+        "workers",
+        "extremal-minimal-n",
+        "extremal-empirical-edge-cap",
+    ],
 )
 def test_parser_errors_are_json_usage_errors(capsys, argv, message):
     code, payload = invoke(capsys, *argv)

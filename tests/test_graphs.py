@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 import os
 import random
 import subprocess
 import sys
+import textwrap
 
 import cordia
 import pytest
@@ -215,6 +218,53 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+PUBLIC_NAMES = [
+    "BoundReport", "BudgetError", "CanonicalKey", "Graph", "GraphFormatError",
+    "GraphProperty", "LinearOperator", "Orientation", "PreserverVerdict",
+    "SampleFailure", "SearchReport", "UnknownTagError", "Verdict", "VertexLabeling",
+    "apply", "bound_23_orientable", "bound_product_cordial", "bound_sum_cordial",
+    "bounds_for", "canonical_form", "canonical_representative",
+    "check_23_cordial_digraph", "check_23_orientable", "check_property", "complete",
+    "compose", "connected_on_support", "edge_graph", "edge_index", "edge_slots",
+    "empirical_max_edges", "empty", "enumerate_graphs", "has_property",
+    "identity_operator", "induced_edge_counts", "is_injective", "is_nonsingular",
+    "is_vertex_permutation", "make_graph", "membership_bitmap", "minimal_noncordial",
+    "named", "named_tags", "operator_table", "orientation_feasible", "parse_graph6",
+    "parse_operator_table", "relabel", "search_strong_preservers",
+    "strongly_preserves", "survey", "to_graph6", "union", "vertex_permutation_operator",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC_NAMES) == 55
+    assert sorted(cordia.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "check_product_cordial",
+        "check_sum_cordial",
+        "friendly_vertex_labelings",
+        "idempotent_power",
+        "is_k_friendly",
+        "is_surjective",
+    ],
+)
+def test_removed_public_names_do_not_import(name):
+    with pytest.raises(ImportError):
+        exec(f"from cordia import {name}", {})
+
+
+def test_every_public_name_has_its_own_docstring():
+    # Read from the source: a dataclass or NamedTuple without one gets a
+    # generated __doc__ that only repeats its fields.
+    def own_docstring(obj) -> str | None:
+        return ast.get_docstring(ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0])
+
+    assert [name for name in PUBLIC_NAMES if not own_docstring(getattr(cordia, name))] == []
 
 
 def test_canonical_support_budget():

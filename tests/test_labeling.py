@@ -14,17 +14,13 @@ from cordia import (
     VertexLabeling,
     check_23_cordial_digraph,
     check_23_orientable,
-    check_product_cordial,
     check_property,
-    check_sum_cordial,
     complete,
     edge_slots,
     empty,
     enumerate_graphs,
-    friendly_vertex_labelings,
     has_property,
     induced_edge_counts,
-    is_k_friendly,
     make_graph,
     named,
     orientation_feasible,
@@ -48,6 +44,7 @@ from conftest import (
     brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    k_friendly,
     oracle_23_orientable,
     oracle_check_scan,
     oracle_edge_masks,
@@ -61,35 +58,24 @@ ALL_PROPERTIES = tuple(GraphProperty)
 
 # ---------------------------------------------------------------- friendliness
 
-def test_is_k_friendly():
-    assert is_k_friendly([2, 2], 2)
-    assert is_k_friendly([2, 3], 2)
-    assert not is_k_friendly([1, 3], 2)
-    assert is_k_friendly([0, 0, 1], 3)
-    assert not is_k_friendly([0, 2, 1], 3)
-    with pytest.raises(ValueError):
-        is_k_friendly([1, 2, 3], 2)
-
-
 @pytest.mark.parametrize("tag", ["2-star", "2k2", "3k2", "c4", "paw", "petersen"])
 def test_friendly_labeling_count(tag):
     g = named(tag)
     s = g.support_size()
     expected = comb(s, s // 2) if s % 2 == 0 else 2 * comb(s, s // 2)
-    labs = list(friendly_vertex_labelings(g))
-    assert len(labs) == expected
     support_mask = g.support_mask()
+    labs = _friendly_label_bits(support_mask)
+    assert len(labs) == expected
     for lab in labs:
-        assert lab.support == support_mask
-        assert lab.labels & ~support_mask == 0
-        ones = lab.labels.bit_count()
-        assert is_k_friendly([s - ones, ones], 2)
+        assert lab & ~support_mask == 0
+        ones = lab.bit_count()
+        assert k_friendly([s - ones, ones])
 
 
 @pytest.mark.parametrize("tag", ["2k2", "triangle", "3k2", "paw"])
 def test_friendly_labelings_match_brute(tag):
     g = named(tag)
-    got = {lab.labels for lab in friendly_vertex_labelings(g)}
+    got = set(_friendly_label_bits(g.support_mask()))
     want = set()
     for assign in brute_friendly_labelings(g):
         want.add(sum(1 << v for v, bit in assign.items() if bit))
@@ -98,8 +84,8 @@ def test_friendly_labelings_match_brute(tag):
 
 def test_ambient_friendly_balances_over_all_vertices():
     g = make_graph(5, [(0, 1)])  # three isolated vertices
-    plain = {lab.labels for lab in friendly_vertex_labelings(g)}
-    ambient = {lab.labels for lab in friendly_vertex_labelings(g, ambient_friendly=True)}
+    plain = set(_friendly_label_bits(g.support_mask()))
+    ambient = set(_friendly_label_bits((1 << g.n) - 1))
     assert plain == {0b01, 0b10}
     # 5 vertices, 2 or 3 ones
     assert len(ambient) == comb(5, 2) + comb(5, 3)
@@ -198,7 +184,7 @@ def test_labelings_naming_vertices_outside_the_graph_are_rejected(call, labels):
 
 def test_induced_edge_counts_rejects_arc_rule():
     g = named("triangle")
-    lab = next(friendly_vertex_labelings(g))
+    lab = VertexLabeling(0b1, g.support_mask())
     with pytest.raises(ValueError):
         induced_edge_counts(g, lab, GraphProperty.ORIENT23)
 
@@ -228,7 +214,7 @@ def test_orientation_feasible_matches_brute_split_scan():
             splits = [
                 (dp, d - dp)
                 for dp in range(d + 1)
-                if is_k_friendly([s, dp, d - dp], 3)
+                if k_friendly([s, dp, d - dp])
             ]
             if splits:
                 assert out == splits[0]  # first feasible split, d_plus ascending
@@ -244,11 +230,11 @@ def verify_witness(g, prop, verdict):
     lab = verdict.labeling
     size = lab.support.bit_count()
     ones = lab.labels.bit_count()
-    assert is_k_friendly([size - ones, ones], 2)
+    assert k_friendly([size - ones, ones])
     if prop is GraphProperty.SUM:
-        assert is_k_friendly(induced_edge_counts(g, lab, GraphProperty.SUM), 2)
+        assert k_friendly(induced_edge_counts(g, lab, GraphProperty.SUM))
     elif prop is GraphProperty.PRODUCT:
-        assert is_k_friendly(induced_edge_counts(g, lab, GraphProperty.PRODUCT), 2)
+        assert k_friendly(induced_edge_counts(g, lab, GraphProperty.PRODUCT))
     else:
         assert verdict.orientation is not None
         assert check_23_cordial_digraph(g, verdict.orientation, lab)
@@ -298,8 +284,8 @@ def test_named_graph_decisions_match_brute(tag):
 def test_decisions_match_brute_on_all_five_vertex_classes():
     for m in range(1, 11):
         for g in enumerate_graphs(5, m):
-            assert check_sum_cordial(g).decision == brute_sum_cordial(g)
-            assert check_product_cordial(g).decision == brute_product_cordial(g)
+            assert check_property(g, GraphProperty.SUM).decision == brute_sum_cordial(g)
+            assert check_property(g, GraphProperty.PRODUCT).decision == brute_product_cordial(g)
             assert check_23_orientable(g).decision == brute_23_orientable(g)
 
 
@@ -321,14 +307,15 @@ def test_witness_is_smallest_feasible_label_bitset():
             if not verdict.decision:
                 continue
             feasible = []
-            for lab in friendly_vertex_labelings(g):
+            for labels in _friendly_label_bits(g.support_mask()):
+                lab = VertexLabeling(labels, g.support_mask())
                 if prop is GraphProperty.ORIENT23:
                     d = induced_edge_counts(g, lab, GraphProperty.SUM)[1]
                     ok = orientation_feasible(g.edge_count - d, d) is not None
                 else:
-                    ok = is_k_friendly(induced_edge_counts(g, lab, prop), 2)
+                    ok = k_friendly(induced_edge_counts(g, lab, prop))
                 if ok:
-                    feasible.append(lab.labels)
+                    feasible.append(labels)
             assert verdict.labeling.labels == min(feasible)
 
 
@@ -429,10 +416,10 @@ def test_decisions_are_invariant_under_vertex_relabeling(n):
 
 def test_labelings_examined_is_the_full_scan_size():
     g = named("2k2")
-    verdict = check_sum_cordial(g)
+    verdict = check_property(g, GraphProperty.SUM)
     assert not verdict.decision
     assert verdict.labelings_examined == comb(4, 2)
-    verdict = check_product_cordial(g)
+    verdict = check_property(g, GraphProperty.PRODUCT)
     assert verdict.decision
     assert verdict.labelings_examined == comb(4, 2)
 
@@ -494,8 +481,6 @@ def test_edgeless_graphs_are_rejected():
             check_property(g, prop)
         with pytest.raises(ValueError):
             has_property(g, prop)
-    with pytest.raises(ValueError):
-        list(friendly_vertex_labelings(g))
 
 
 @pytest.mark.parametrize("s", range(MAX_VERTICES + 1))
