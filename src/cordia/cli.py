@@ -135,26 +135,21 @@ def _cmd_enumerate(args) -> tuple[dict, dict, int]:
 def _cmd_preservers(args) -> tuple[dict, dict, int]:
     prop = GraphProperty(args.property)
     inputs = {
-        # Only sample mode reads the count.
+        # Only sample mode reads the count and the seed.
         "count": args.count if args.mode == "sample" else None,
         "mode": args.mode,
         "n": args.n,
         "property": prop.value,
-        "seed": args.seed,
+        "seed": args.seed if args.mode == "sample" else None,
     }
     report = search_strong_preservers(args.n, prop, args.mode, count=args.count, seed=args.seed)
     survivors_vertex = sum(
         1 for op in report.operators if is_vertex_permutation(op) is not None
     )
-    if report.mode == "exhaustive":
-        # Exhaustive searches record no failures; every survivor is materialized.
-        passed = len(report.operators)
-    else:
-        passed = report.candidates_checked - report.discarded_vertex_induced - len(report.failures)
     result = {
         "all_survivors_vertex_induced": survivors_vertex == len(report.operators),
         "candidates_checked": report.candidates_checked,
-        "candidates_passed": passed,
+        "candidates_passed": len(report.operators),
         "discarded_vertex_induced": report.discarded_vertex_induced,
         "failures_recorded": len(report.failures),
         "mode": report.mode,

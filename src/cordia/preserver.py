@@ -6,10 +6,10 @@ G's edges, and the empty graph always maps to itself.  Strong preservation
 of a graph class means membership of G and of apply(op, G) agree for every
 graph, equivalently the operator preserves the class and its complement.
 
-Verification reads the membership tables of ``labeling.membership_bitmap``,
-which alone refuses n > 6.  A table is the truth table of a Boolean function
-of the C(n,2) edge variables, and an edge bijection permutes those
-variables.  Graph-by-graph scans read a table through one text view,
+Every check and search mode reads the membership tables of
+``labeling.membership_bitmap``, which alone refuses n > 6.  A table is the
+truth table of a Boolean function of the C(n,2) edge variables, and an edge
+bijection permutes those variables.  Graph-by-graph scans read a table through one text view,
 ``_flags``, and map graphs through slot maps with ``graphs._map_slots``.
 The exact paths share one kernel:
 
@@ -24,7 +24,7 @@ The exact paths share one kernel:
   slot has an image, so survivors come out in lexicographic order and a
   partial map is dropped at the first graph it changes.  When no edge-count
   level is mixed (``_mixed_levels``) all survive; too many are refused first.
-- Exact vertex-only search runs every vertex map through the table check.
+- Vertex-only search runs every vertex map through the table check.
 
 Sample mode keeps its own scan, since nearly every sampled bijection fails
 on one of the first graphs it checks.  A bijection keeps edge counts, so only
@@ -61,12 +61,10 @@ from .graphs import (
     iter_bits,
     pair_table,
 )
-from .labeling import MEMBERSHIP_VERTEX_LIMIT, GraphProperty, _decide_bits, _level_tables, membership_bitmap
+from .labeling import GraphProperty, _decide_bits, _level_tables, membership_bitmap
 
 EXHAUSTIVE_BIJECTION_BUDGET = 4_000_000
 SURVIVOR_BUDGET = 100_000
-VERTEX_ONLY_LIMIT = 8
-VERTEX_ONLY_SPOT_CHECKS = 32
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,11 @@ class SearchReport:
 
     candidates_checked counts the edge bijections the mode settles: all
     C(n,2)! in exhaustive mode, the n! vertex maps in vertex-only mode, and
-    the draws in sample mode.  operators holds the survivors (none for the
-    spot-checked vertex-only sizes n = 7, 8).  discarded_vertex_induced
-    counts the sample draws skipped as vertex maps; it is 0 in the other
-    modes.  failures holds one SampleFailure per rejected draw in sample
-    mode and per failing vertex map in vertex-only mode; exhaustive mode
-    records none."""
+    the draws in sample mode.  operators holds every survivor.
+    discarded_vertex_induced counts the sample draws skipped as vertex maps;
+    it is 0 in the other modes.  failures holds one SampleFailure per
+    rejected draw in sample mode and per failing vertex map in vertex-only
+    mode; exhaustive mode records none."""
 
     n: int
     property: GraphProperty
@@ -486,39 +483,19 @@ def confirmed_failures(report: SearchReport) -> int:
     return confirmed
 
 
-def _search_vertex_only(n: int, prop: GraphProperty, seed: int) -> SearchReport:
-    if n > VERTEX_ONLY_LIMIT:
-        raise BudgetError(f"vertex-only mode is capped at n={VERTEX_ONLY_LIMIT}")
+def _search_vertex_only(n: int, prop: GraphProperty) -> SearchReport:
+    bm = membership_bitmap(n, prop)
     maps = _vertex_edge_maps(n)
-    total = len(maps)
+    passing = []
     failures = []
-    if n <= MEMBERSHIP_VERTEX_LIMIT:
-        bm = membership_bitmap(n, prop)
-        passing = []
-        for pi in maps:
-            cex = _table_counterexample(bm, pi)
-            if cex is None:
-                passing.append(pi)
-            else:
-                failures.append(SampleFailure(-1, pi, Graph(n, cex)))
-        ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
-        return SearchReport(n, prop, "vertex-only", total, ops, failures=tuple(failures))
-    # Beyond the membership-table limit the permutations are spot-checked on
-    # seeded random graphs; operators are not materialized at this size.
-    rng = random.Random(f"{seed}:graphs")
-    slots = edge_slots(n)
-    member: dict[int, bool] = {}  # the sampled graphs in draw order
-    while len(member) < VERTEX_ONLY_SPOT_CHECKS:
-        g = rng.getrandbits(slots)
-        if g and g not in member:
-            member[g] = _decide_bits(n, g, prop)
-    checks = [(g, tuple(iter_bits(g)), m) for g, m in member.items()]
     for pi in maps:
-        for g, ks, m in checks:
-            if _decide_bits(n, _map_slots(pi, ks), prop) != m:
-                failures.append(SampleFailure(-1, pi, Graph(n, g)))
-                break
-    return SearchReport(n, prop, "vertex-only", total, (), failures=tuple(failures))
+        cex = _table_counterexample(bm, pi)
+        if cex is None:
+            passing.append(pi)
+        else:
+            failures.append(SampleFailure(-1, pi, Graph(n, cex)))
+    ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
+    return SearchReport(n, prop, "vertex-only", len(maps), ops, failures=tuple(failures))
 
 
 def search_strong_preservers(
@@ -538,12 +515,9 @@ def search_strong_preservers(
       lexicographic order of their slot maps.  When membership depends only
       on the edge count every bijection survives, so the answer is all of
       them, or a BudgetError at once if they exceed SURVIVOR_BUDGET.
-    - "vertex-only" verifies all n! vertex permutations: exactly against the
-      membership table up to n = 6, by seeded graph spot checks
-      (VERTEX_ONLY_SPOT_CHECKS graphs) for n = 7, 8.  Every property
-      here is isomorphism-invariant, so a vertex map always preserves it:
-      the spot checks can fail only if a decider is not invariant, and
-      test that rather than the preserver theorem.
+    - "vertex-only" verifies all n! vertex permutations against the
+      membership table, survivors in lexicographic order of the vertex
+      permutations.
     - "sample" draws `count` seeded random edge bijections, discards the
       vertex-induced ones, and records for every failure the first mismatch
       in the scan order of ``_scan_order``, which need not be the least one.
@@ -552,11 +526,13 @@ def search_strong_preservers(
       property, so a process keeps the last set for the next search with
       the same n, seed and count.
 
-    Only sample mode reads `count`; n < 0 and a negative count are usage
-    errors (ValueError) in every mode.  Every mode runs in the calling
-    process.  `workers` is checked (at least 1) and has no effect; it stays
-    only because the traced sample runs of `perfbench/worker.py` pass
-    workers=2, and goes at the next change to the benchmark.
+    Only sample mode reads `count` and `seed`; n < 0 and a negative count
+    are usage errors (ValueError) in every mode.  Vertex-only and sample
+    modes read the membership table before they build any edge map, so its
+    refusal of n > 6 (BudgetError) is theirs.  Every mode runs in the
+    calling process.  `workers` is checked (at least 1) and has no effect;
+    it stays only because the traced sample runs of `perfbench/worker.py`
+    pass workers=2, and goes at the next change to the benchmark.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -571,7 +547,7 @@ def search_strong_preservers(
     if mode == "exhaustive":
         return _search_exhaustive(n, prop)
     if mode == "vertex-only":
-        return _search_vertex_only(n, prop, seed)
+        return _search_vertex_only(n, prop)
     raise ValueError(f"unknown search mode {mode!r}")
 
 

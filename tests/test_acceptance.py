@@ -41,10 +41,9 @@ from cordia import (
     search_strong_preservers,
     strongly_preserves,
     to_graph6,
-    vertex_permutation_operator,
 )
 from cordia.graphs import _edge_count_classes, pair_table
-from cordia.preserver import _operator_from_edge_map, confirmed_failures, is_vertex_permutation
+from cordia.preserver import confirmed_failures, is_vertex_permutation
 
 from conftest import (
     brute_isomorphic,

@@ -255,6 +255,9 @@ def test_preservers_exhaustive_candidates_passed_counts_survivors(capsys, prop, 
         ("exhaustive", ("--count", "5"), None),
         ("vertex-only", (), None),
         ("sample", ("--count", "20"), 20),
+        ("exhaustive", ("--seed", "5"), None),
+        ("vertex-only", ("--seed", "5"), None),
+        ("sample", ("--count", "20", "--seed", "5"), 20),
     ],
 )
 def test_preservers_echo_count_only_where_the_mode_reads_it(capsys, mode, argv, echoed):
@@ -263,6 +266,9 @@ def test_preservers_echo_count_only_where_the_mode_reads_it(capsys, mode, argv, 
     )
     assert code == 0
     assert payload["inputs"]["count"] == echoed
+    # The seed follows the same rule: only sample mode reads it.
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+    assert payload["inputs"]["seed"] == (seed if mode == "sample" else None)
 
 
 def test_preservers_sample_deterministic(capsys):
@@ -318,13 +324,13 @@ def test_preservers_ignore_the_workers_variable(capsys, monkeypatch):
     assert capsys.readouterr().out == plain
 
 
-def test_vertex_only_spot_checks_ignore_the_count(capsys):
+def test_vertex_only_refusal_ignores_the_count(capsys):
     argv = ["preservers", "--property", "sum", "--n", "7", "--mode", "vertex-only"]
-    assert run(argv) == 0
+    assert run(argv) == 3
     default = capsys.readouterr().out
-    assert run(argv + ["--count", "5"]) == 0
+    assert run(argv + ["--count", "5"]) == 3
     assert capsys.readouterr().out == default
-    assert json.loads(default)["result"]["candidates_checked"] == 5040
+    assert json.loads(default)["error"]["kind"] == "budget"
 
 
 def test_preservers_negative_count_is_a_usage_error(capsys):

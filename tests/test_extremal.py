@@ -16,7 +16,6 @@ from cordia import (
     bound_sum_cordial,
     bounds_for,
     canonical_form,
-    check_property,
     complete,
     empirical_max_edges,
     enumerate_graphs,

@@ -242,6 +242,35 @@ def test_public_surface_is_pinned():
     assert sorted(cordia.__all__) == PUBLIC_NAMES
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # cordia/__init__.py is skipped: its imports are its exports, which the
+    # pin above checks.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    unread = []
+    for folder in ("src/cordia", "tests", "scripts"):
+        for dirpath, _, files in os.walk(os.path.join(root, folder)):
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.relpath(os.path.join(dirpath, name), root)
+                if path == os.path.join("src", "cordia", "__init__.py"):
+                    continue
+                with open(os.path.join(root, path), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), path)
+                read = {
+                    node.id
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                }
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                        continue
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        for alias in node.names:
+                            bound = alias.asname or alias.name.split(".")[0]
+                            if bound not in read:
+                                unread.append(f"{path}: {bound}")
+    assert unread == []
+
+
 @pytest.mark.parametrize(
     "name",
     [

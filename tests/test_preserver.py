@@ -706,11 +706,17 @@ def test_vertex_only_four_vertices():
     assert {is_vertex_permutation(op) for op in report.operators} == set(permutations(range(4)))
 
 
-def test_vertex_only_large_n_spot_checks_without_materializing():
-    report = search_strong_preservers(7, GraphProperty.SUM, "vertex-only", seed=1)
-    assert report.candidates_checked == 5040
-    assert report.operators == ()
-    assert report.failures == ()
+def test_vertex_only_refuses_past_the_membership_tables(monkeypatch):
+    # The table refuses before any vertex map is built, so n=16 never starts
+    # a walk over 16! permutations.
+    def no_maps(n):
+        raise AssertionError(f"vertex maps built at n={n}")
+
+    monkeypatch.setattr(preserver_module, "_vertex_edge_maps", no_maps)
+    for n in (7, 8, 9, 16):
+        with pytest.raises(BudgetError) as info:
+            search_strong_preservers(n, GraphProperty.SUM, "vertex-only")
+        assert str(info.value) == f"membership tables are kept only up to n=6; n={n} requested"
 
 
 # -------------------------------------------------------------- serialization
