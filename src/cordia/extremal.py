@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import Graph, _edge_count_classes, edge_slots, enumerate_graphs
-from .labeling import GraphProperty, _decide_bits
+from .labeling import GraphProperty, _decide_bits, _require_property
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ def bound_23_orientable(n: int) -> int:
 def bounds_for(prop: GraphProperty, n: int) -> tuple[int, int | None]:
     """(bound, alternate) for prop at n; only product has an alternate.
     Below a closed form's domain this is a ValueError."""
+    _require_property(prop)
     if prop is GraphProperty.SUM:
         return bound_sum_cordial(n), None
     if prop is GraphProperty.PRODUCT:
@@ -98,6 +99,7 @@ def empirical_max_edges(prop: GraphProperty, n: int) -> tuple[int, Graph]:
     canonical key, so the first satisfying class is the witness, and its
     limits are the only refusals.
     """
+    _require_property(prop)
     if n < 2:
         raise ValueError("need at least one potential edge")
     for m in range(edge_slots(n), 0, -1):
@@ -110,6 +112,7 @@ def empirical_max_edges(prop: GraphProperty, n: int) -> tuple[int, Graph]:
 def minimal_noncordial(prop: GraphProperty, edge_cap: int) -> list[tuple[int, Graph]]:
     """Failing isomorphism classes per edge count, for all m up to edge_cap;
     a cap beyond the enumeration limits is refused before any decision."""
+    _require_property(prop)
     if edge_cap < 1:
         raise ValueError("edge cap must be positive")
     _edge_count_classes(edge_cap)

@@ -17,20 +17,18 @@ orientability counts the cross edges, which must split into d_plus and
 d_minus within one of each other and of the same-label edges.  So every
 decision compares one count against one bitmask of the passing counts per
 property and edge count.  This module alone decides membership, of one
-graph or of a whole table, and three layouts feed it:
+graph or of a whole table, in two layouts:
 
-- bulk decisions (has_property and the searches built on it) read one mask
-  table per support, one int per friendly labeling holding both classes,
-  and stop at the first labeling that passes;
-- witness searches (check_property and check_23_orientable) read label
-  columns per support size, one int per support position with one bit per
-  friendly labeling.  They count the class of every labeling at once by
-  bit-sliced addition, and read the least witness off the bitset of the
-  labelings that pass;
+- single graphs (check_property, has_property and the searches built on
+  them) read label columns per support size, one int per support position
+  with one bit per friendly labeling.  They count the class of every
+  labeling at once by bit-sliced addition; a decision asks whether any
+  labeling passes, and a witness search reads the least one off the bitset
+  of the labelings that pass;
 - whole tables (``membership_bitmap``, one bit per graph on n vertices up to
-  MEMBERSHIP_VERTEX_LIMIT) read the bulk mask tables and decide no graph on
-  its own: a bit-sliced sum of edge variables (Knuth, TAOCP 4A, 7.1.3)
-  counts each probed edge set in every graph at once.
+  MEMBERSHIP_VERTEX_LIMIT) decide no graph on their own: a bit-sliced sum of
+  edge variables (Knuth, TAOCP 4A, 7.1.3) counts each probed edge set in
+  every graph at once.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from typing import Iterable
 
 from .errors import BudgetError
 from .graphs import MAX_VERTICES, Graph, _edge_variable, _support_of_bits, edge_slots
-from .graphs import incident_masks, iter_bits
+from .graphs import incident_masks, iter_bits, pair_table
 
 MEMBERSHIP_VERTEX_LIMIT = 6
 
@@ -54,6 +52,13 @@ class GraphProperty(Enum):
     SUM = "sum"
     PRODUCT = "product"
     ORIENT23 = "orient23"
+
+
+def _require_property(prop: object) -> None:
+    """Public entry points take only GraphProperty members: the deciders
+    dispatch on identity, so any other value would be answered as sum."""
+    if not isinstance(prop, GraphProperty):
+        raise ValueError(f"property must be a GraphProperty member, got {prop!r}")
 
 
 @dataclass(frozen=True)
@@ -93,31 +98,49 @@ class Verdict:
     labelings_examined: int
 
 
-def _friendly_entries(steps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """One entry per friendly label set over len(steps) positions, per
-    popcount class ascending.  An entry starts at 0, and each position p in
-    the set turns it from x into x ^ a | b, where (a, b) = steps[p].
+@lru_cache(maxsize=None)
+def _label_columns(s: int) -> tuple[int, ...]:
+    """The friendly label sets over s positions, per popcount class
+    ascending, read by position: bit i of column v is label v of entry i.
 
-    Built by Pascal's rule, as _label_columns builds its columns: in
-    ascending order, the k-subsets of the first t positions are the
-    k-subsets of the first t - 1, then the (k - 1)-subsets of the first
-    t - 1 with position t added."""
-    s = len(steps)
-    half = s // 2
-    top = s - half
-    row: list[tuple[int, ...]] = [(0,)]  # per k: the entries of the k-subsets of the first t positions
-    for t, (a, b) in enumerate(steps, 1):
-        row = [
-            (row[k] if k < t else ()) + (tuple(x ^ a | b for x in row[k - 1]) if k else ())
-            for k in range(min(t, top) + 1)
-        ]
-    return row[half] + (row[top] if top != half else ())
+    Built by Pascal's rule: in ascending order, the k-subsets of t positions
+    are the k-subsets of t - 1 positions, then the (k - 1)-subsets of t - 1
+    positions with position t - 1 added.  So each earlier column is its
+    (t - 1, k) column followed by its (t - 1, k - 1) column, and column
+    t - 1 is zeros, then ones."""
+    row = [(1, ())]  # per k: (entries, columns) of the k-subsets of t positions
+    for t in range(1, s + 1):
+        none = (0, (0,) * (t - 1))
+        nxt = []
+        for k in range(t + 1):
+            lo, lo_cols = row[k] if k < t else none
+            hi, hi_cols = row[k - 1] if k else none
+            cols = tuple(a | b << lo for a, b in zip(lo_cols, hi_cols))
+            nxt.append((lo + hi, cols + (((1 << hi) - 1) << lo,)))
+        row = nxt
+    lo, cols = row[s // 2]
+    if s % 2:
+        cols = tuple(a | b << lo for a, b in zip(cols, row[s - s // 2][1]))
+    return cols
+
+
+def _lane_count(s: int) -> int:
+    """Friendly label sets over s positions: C(s, s // 2), twice for odd s."""
+    return comb(s, s // 2) << (s & 1)
+
+
+def _lane_labels(cols: tuple[int, ...], positions: list[int], i: int) -> int:
+    """Entry i of the label columns, put on the support positions."""
+    return sum(1 << p for col, p in zip(cols, positions) if col >> i & 1)
 
 
 @lru_cache(maxsize=None)
 def _friendly_label_bits(mask: int) -> tuple[int, ...]:
-    """All friendly label bitsets over the vertices in mask, per popcount class ascending."""
-    return _friendly_entries(tuple((0, 1 << p) for p in iter_bits(mask)))
+    """All friendly label bitsets over the vertices in mask, per popcount
+    class ascending: the entries of _label_columns put on mask."""
+    positions = list(iter_bits(mask))
+    cols = _label_columns(len(positions))
+    return tuple(_lane_labels(cols, positions, i) for i in range(_lane_count(len(positions))))
 
 
 def _probed_edges(n: int, labels: int, prop: GraphProperty) -> int:
@@ -132,20 +155,6 @@ def _probed_edges(n: int, labels: int, prop: GraphProperty) -> int:
     return seen & ~cross if prop is _PRODUCT else cross
 
 
-@lru_cache(maxsize=None)
-def _label_masks(n: int, support: int) -> tuple[int, ...]:
-    """ones | cross << C(n,2) for every friendly labeling of the support, in
-    _friendly_label_bits order: the 1-1 edges low, the cross edges high.
-
-    Each entry is built as seen | cross << C(n,2) over the labeled vertices'
-    incident slots, as in _probed_edges: a labeled vertex ORs its slots into
-    seen and XORs them into cross.  The 1-1 edges are then seen & ~cross."""
-    shift = edge_slots(n)
-    inc = incident_masks(n)
-    packed = _friendly_entries(tuple((inc[v] << shift, inc[v]) for v in iter_bits(support)))
-    return tuple(x & ~(x >> shift) for x in packed)
-
-
 def _labeling_mask(g: Graph, ambient_friendly: bool) -> int:
     if g.edges == 0:
         raise ValueError("graph has no edges; labeling predicates are undefined on it")
@@ -156,6 +165,7 @@ def _labeling_mask(g: Graph, ambient_friendly: bool) -> int:
 
 def induced_edge_counts(g: Graph, labeling: VertexLabeling, prop: GraphProperty) -> tuple[int, int]:
     """(count of edges labeled 0, count labeled 1) under the sum or product edge rule."""
+    _require_property(prop)
     if prop is GraphProperty.ORIENT23:
         raise ValueError("orient23 labels arcs, not edges; use check_23_cordial_digraph")
     if labeling.labels >> g.n:
@@ -178,8 +188,8 @@ def orientation_feasible(same_count: int, cross_count: int) -> tuple[int, int] |
     return (d // 2, d - d // 2) if _split_feasible(same_count, d) else None
 
 
-# Looking up an Enum member on its class costs about 0.2 us on Python 3.11, a
-# fifth of a bulk decision at n = 6; the deciders compare against these.
+# Looking up an Enum member on its class costs about 0.2 us on Python 3.11;
+# the deciders compare against these.
 _PRODUCT = GraphProperty.PRODUCT
 _ORIENT23 = GraphProperty.ORIENT23
 
@@ -195,35 +205,49 @@ def _orient23_passing() -> tuple[int, ...]:
 
 
 def _passing(prop: GraphProperty, m: int) -> int:
-    """Bitmask of the counts c of the probed edge class (see _probe) for which
-    a graph with m edges passes: 2c within one of m for sum and product."""
+    """Bitmask of the counts c of the probed edge class (see _probed_edges)
+    for which a graph with m edges passes: 2c within one of m for sum and
+    product."""
     if prop is _ORIENT23:
         return _orient23_passing()[m]
     return 1 << m // 2 | 1 << (m + 1) // 2
 
 
-def _probe(n: int, bits: int, prop: GraphProperty) -> int:
-    """The edge bitset lined up with the class prop counts in a _label_masks
-    entry: the 1-1 edges for product, the cross edges otherwise."""
-    return bits if prop is _PRODUCT else bits << edge_slots(n)
+def _passing_lanes(
+    n: int, bits: int, prop: GraphProperty, support: int
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """(passing lanes, columns, support positions): lane i of the columns,
+    put on the support, is a friendly labeling, and its bit is set when that
+    labeling passes prop on the edge bitset.  An edge adds col_u & col_v to
+    the 1-1 count of product and col_u ^ col_v to the cross count otherwise,
+    in every lane at once."""
+    positions = list(iter_bits(support))
+    cols = _label_columns(len(positions))
+    col = [0] * n
+    for v, c in zip(positions, cols):
+        col[v] = c
+    edges = map(pair_table(n).__getitem__, iter_bits(bits))
+    if prop is _PRODUCT:
+        planes = _sliced_sum(col[i] & col[j] for i, j in edges)
+    else:
+        planes = _sliced_sum(col[i] ^ col[j] for i, j in edges)
+    full = (1 << _lane_count(len(positions))) - 1
+    return _lanes_counting(planes, _passing(prop, bits.bit_count()), full), cols, positions
 
 
 def _decide_bits(n: int, bits: int, prop: GraphProperty, support: int | None = None) -> bool:
-    """Early-exit decision on a raw edge bitset; the bulk-search twin of check_property."""
+    """Does some friendly labeling of the support (by default the edges' own)
+    pass prop on a raw edge bitset?  The lane count of check_property,
+    without its witness."""
     if support is None:
         support = _support_of_bits(n, bits)
-    ok = _passing(prop, bits.bit_count())
-    probe = _probe(n, bits, prop)
-    for mask in _label_masks(n, support):
-        if ok >> (probe & mask).bit_count() & 1:
-            return True
-    return False
+    return _passing_lanes(n, bits, prop, support)[0] != 0
 
 
 def has_property(g: Graph, prop: GraphProperty) -> bool:
-    """Decision only; agrees with check_property(g, prop).decision."""
-    mask = _labeling_mask(g, False)
-    return _decide_bits(g.n, g.edges, prop, mask)
+    """check_property(g, prop).decision, without reading off the witness."""
+    _require_property(prop)
+    return _decide_bits(g.n, g.edges, prop, _labeling_mask(g, False))
 
 
 def _witness_orientation(g: Graph, labels: int) -> Orientation:
@@ -246,32 +270,6 @@ def _witness_orientation(g: Graph, labels: int) -> Orientation:
             bits |= 1 << r
         assigned += 1
     return Orientation(bits, m)
-
-
-@lru_cache(maxsize=None)
-def _label_columns(s: int) -> tuple[int, ...]:
-    """The compact friendly table _friendly_label_bits((1 << s) - 1) read by
-    position: bit i of column v is label v of entry i.
-
-    Built by Pascal's rule: in ascending order, the k-subsets of t positions
-    are the k-subsets of t - 1 positions, then the (k - 1)-subsets of t - 1
-    positions with position t - 1 added.  So each earlier column is its
-    (t - 1, k) column followed by its (t - 1, k - 1) column, and column
-    t - 1 is zeros, then ones."""
-    row = [(1, ())]  # per k: (entries, columns) of the k-subsets of t positions
-    for t in range(1, s + 1):
-        none = (0, (0,) * (t - 1))
-        nxt = []
-        for k in range(t + 1):
-            lo, lo_cols = row[k] if k < t else none
-            hi, hi_cols = row[k - 1] if k else none
-            cols = tuple(a | b << lo for a, b in zip(lo_cols, hi_cols))
-            nxt.append((lo + hi, cols + (((1 << hi) - 1) << lo,)))
-        row = nxt
-    lo, cols = row[s // 2]
-    if s % 2:
-        cols = tuple(a | b << lo for a, b in zip(cols, row[s - s // 2][1]))
-    return cols
 
 
 def _sliced_sum(terms: Iterable[int]) -> list[int]:
@@ -303,35 +301,21 @@ def _lanes_counting(planes: list[int], counts: int, full: int) -> int:
     return hits
 
 
-def _count_planes(g: Graph, prop: GraphProperty, cols: tuple[int, ...], positions: list[int]) -> list[int]:
-    """Bit-sliced counts of the edge class prop probes, in every lane of cols
-    at once.  An edge adds col_u & col_v to the 1-1 count of product and
-    col_u ^ col_v to the cross count otherwise."""
-    rank = {v: r for r, v in enumerate(positions)}
-    if prop is _PRODUCT:
-        return _sliced_sum(cols[rank[i]] & cols[rank[j]] for i, j in g.edge_list())
-    return _sliced_sum(cols[rank[i]] ^ cols[rank[j]] for i, j in g.edge_list())
-
-
 def _check(g: Graph, prop: GraphProperty, support: int) -> Verdict:
     """Verdict witnessed by the least feasible friendly label bitset of the
     support.  Every friendly labeling is decided at once, one lane of the
     support size's label columns each, so labelings_examined is their number."""
-    positions = list(iter_bits(support))
+    hits, cols, positions = _passing_lanes(g.n, g.edges, prop, support)
     s = len(positions)
-    cols = _label_columns(s)
-    size = comb(s, s // 2)  # entries per popcount class
-    lanes = size << (s & 1)
-    planes = _count_planes(g, prop, cols, positions)
-    hits = _lanes_counting(planes, _passing(prop, g.edge_count), (1 << lanes) - 1)
+    lanes = _lane_count(s)
+    size = lanes >> (s & 1)  # entries per popcount class
     # Each popcount class ascends, and putting entries on the support keeps
     # their order, so the least witness is the least of the classes' first hits.
     best = None
     for start in range(0, lanes, size):
         part = hits >> start & (1 << size) - 1
         if part:
-            i = start + (part & -part).bit_length() - 1
-            lab = sum(1 << p for col, p in zip(cols, positions) if col >> i & 1)
+            lab = _lane_labels(cols, positions, start + (part & -part).bit_length() - 1)
             if best is None or lab < best:
                 best = lab
     if best is None:
@@ -353,6 +337,7 @@ def check_property(g: Graph, prop: GraphProperty) -> Verdict:
     mod-2 difference edge labeling is 2-friendly, and product cordial when
     some friendly labeling's product edge labeling is; orient23 is decided
     as in check_23_orientable.  An edgeless g is a ValueError."""
+    _require_property(prop)
     return _check(g, prop, _labeling_mask(g, False))
 
 
@@ -389,12 +374,13 @@ def _level_tables(slots: int) -> tuple[int, ...]:
 def membership_bitmap(n: int, prop: GraphProperty) -> int:
     """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member.
 
-    A graph with support S is a member when some _label_masks(n, S) entry,
-    read through _probe's window, holds a passing count of its edges.  The
-    pass table of a windowed edge set marks the graphs where its count,
-    summed bit-sliced over its edge variables, passes at the graph's edge
-    count; entries with the same edge set share one.  The table is the OR
+    A graph with support S is a member when some friendly label set L of S
+    puts a passing count of its edges in _probed_edges(n, L, prop).  The pass
+    table of a probed edge set marks the graphs where its count, summed
+    bit-sliced over its edge variables, passes at the graph's edge count;
+    label sets with the same probed edges share one.  The table is the OR
     over supports S of [support(g) = S] AND the OR of S's pass tables."""
+    _require_property(prop)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MEMBERSHIP_VERTEX_LIMIT:
@@ -409,8 +395,6 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     for m, level in enumerate(_level_tables(slots)):
         for c in iter_bits(_passing(prop, m)):
             within[c] |= level
-    window = _probe(n, (1 << slots) - 1, prop)
-    var += var  # edge k sits at position k or slots + k of the window
     passes: dict[int, int] = {}
 
     def pass_table(probed: int) -> int:
@@ -436,7 +420,7 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
         for v in range(n):
             on &= cover[v] if support >> v & 1 else ~cover[v]
         friendly = 0
-        for mask in _label_masks(n, support):
-            friendly |= pass_table(mask & window)
+        for labels in _friendly_label_bits(support):
+            friendly |= pass_table(_probed_edges(n, labels, prop))
         bitmap |= on & friendly
     return bitmap

@@ -61,7 +61,7 @@ from .graphs import (
     iter_bits,
     pair_table,
 )
-from .labeling import GraphProperty, _decide_bits, _level_tables, membership_bitmap
+from .labeling import GraphProperty, _decide_bits, _level_tables, _require_property, membership_bitmap
 
 EXHAUSTIVE_BIJECTION_BUDGET = 4_000_000
 SURVIVOR_BUDGET = 100_000
@@ -526,14 +526,16 @@ def search_strong_preservers(
       property, so a process keeps the last set for the next search with
       the same n, seed and count.
 
-    Only sample mode reads `count` and `seed`; n < 0 and a negative count
-    are usage errors (ValueError) in every mode.  Vertex-only and sample
-    modes read the membership table before they build any edge map, so its
-    refusal of n > 6 (BudgetError) is theirs.  Every mode runs in the
-    calling process.  `workers` is checked (at least 1) and has no effect;
-    it stays only because the traced sample runs of `perfbench/worker.py`
-    pass workers=2, and goes at the next change to the benchmark.
+    Only sample mode reads `count` and `seed`; n < 0, a negative count and
+    a prop that is not a GraphProperty member are usage errors (ValueError)
+    in every mode.  Vertex-only and sample modes read the membership table
+    before they build any edge map, so its refusal of n > 6 (BudgetError)
+    is theirs.  Every mode runs in the calling process.  `workers` is
+    checked (at least 1) and has no effect; it stays only because the
+    traced sample runs of `perfbench/worker.py` pass workers=2, and goes at
+    the next change to the benchmark.
     """
+    _require_property(prop)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if workers < 1:

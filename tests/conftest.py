@@ -9,14 +9,17 @@ stops near 12, and shares nothing with the split reduction of the deciders.
 
 The edge-mask oracle is the pair-by-pair loop the incident-mask XOR
 replaced; it also checks, entry by entry, the per-support mask table that
-Pascal's rule builds.  The least-witness oracle re-decides every friendly
-labeling from the edge labels themselves.  The scan oracle is the
-labeling-by-labeling walk of the per-support mask table that the bit-sliced
-witness search replaced; it reaches supports up to 16, where the
-least-witness oracle is too slow.  The membership oracle is the
-graph-by-graph loop of per-graph decisions that whole-table bit-sliced
-counts replaced, and the edge-count oracle is the graph-by-graph level check
-that the level tables replaced.  The two preserver oracles are the
+``_label_masks`` builds here by Pascal's rule.  The least-witness oracle
+re-decides every friendly labeling from the edge labels themselves.  The
+two scan oracles walk that mask table labeling by labeling, the route that
+the bit-sliced lane count of ``_passing_lanes`` replaced:
+``oracle_decide_scan`` stops at the first labeling that passes, as
+``_decide_bits`` once did, and ``oracle_check_scan`` reads the least
+witness; they reach supports up to 16, where the least-witness oracle is
+too slow.  The membership oracle is the
+graph-by-graph loop of mask-table scans that whole-table bit-sliced counts
+replaced, and the edge-count oracle is the graph-by-graph level check that
+the level tables replaced.  The two preserver oracles are the
 graph-by-graph paths the truth-table kernel replaced; they read membership
 from ``membership_bitmap``, which is tested against the membership oracle.
 The canonical-key oracle is the permutation minimum the
@@ -27,8 +30,9 @@ oracle adds every absent edge to every representative of the level below,
 the loop that one edge per pair of twin classes replaced.  The
 friendly-table oracle is the Gosper iteration that Pascal's rule replaced.  The
 empirical-maximum oracle is the labeled-subset walk that the scan over
-isomorphism classes replaced; it decides with ``_decide_bits``, so it checks
-the route through the classes and the least-key witness, not the decider.
+isomorphism classes replaced; it decides with ``oracle_decide_scan``, so it
+checks the route through the classes and the least-key witness against a
+decider the package does not share.
 The sample oracle is sample mode before its draws were shared and its scan
 was cut to the mixed edge-count levels: a fresh draw per call, every nonempty
 graph in the scan order, and one ``Graph`` per failure.  The draws oracle
@@ -80,14 +84,12 @@ from cordia.graphs import (
 )
 from cordia.labeling import (
     _ORIENT23,
+    _PRODUCT,
     Verdict,
     VertexLabeling,
-    _decide_bits,
     _friendly_label_bits,
-    _label_masks,
     _labeling_mask,
     _passing,
-    _probe,
     _witness_orientation,
 )
 from cordia.preserver import (
@@ -410,10 +412,58 @@ def brute_least_witness(g: Graph, prop: GraphProperty) -> tuple[int | None, int]
     return best, seen
 
 
+def _friendly_entries(steps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """One entry per friendly label set over len(steps) positions, per
+    popcount class ascending.  An entry starts at 0, and each position p in
+    the set turns it from x into x ^ a | b, where (a, b) = steps[p].
+
+    Built by Pascal's rule: in ascending order, the k-subsets of the first t
+    positions are the k-subsets of the first t - 1, then the (k - 1)-subsets
+    of the first t - 1 with position t added."""
+    s = len(steps)
+    half = s // 2
+    top = s - half
+    row: list[tuple[int, ...]] = [(0,)]  # per k: the entries of the k-subsets of the first t positions
+    for t, (a, b) in enumerate(steps, 1):
+        row = [
+            (row[k] if k < t else ()) + (tuple(x ^ a | b for x in row[k - 1]) if k else ())
+            for k in range(min(t, top) + 1)
+        ]
+    return row[half] + (row[top] if top != half else ())
+
+
+@lru_cache(maxsize=None)
+def _label_masks(n: int, support: int) -> tuple[int, ...]:
+    """ones | cross << C(n,2) for every friendly labeling of the support, per
+    popcount class ascending: the 1-1 edges low, the cross edges high.
+
+    Each entry is built as seen | cross << C(n,2) over the labeled vertices'
+    incident slots: a labeled vertex ORs its slots into seen and XORs them
+    into cross.  The 1-1 edges are then seen & ~cross."""
+    shift = edge_slots(n)
+    inc = incident_masks(n)
+    packed = _friendly_entries(tuple((inc[v] << shift, inc[v]) for v in iter_bits(support)))
+    return tuple(x & ~(x >> shift) for x in packed)
+
+
+def _probe(n: int, bits: int, prop: GraphProperty) -> int:
+    """The edge bitset lined up with the class prop counts in a _label_masks
+    entry: the 1-1 edges for product, the cross edges otherwise."""
+    return bits if prop is _PRODUCT else bits << edge_slots(n)
+
+
+def oracle_decide_scan(n: int, bits: int, prop: GraphProperty, support: int) -> bool:
+    """_decide_bits as a scan of the support's mask table, labeling by
+    labeling, stopping at the first that passes."""
+    ok = _passing(prop, bits.bit_count())
+    probe = _probe(n, bits, prop)
+    return any(ok >> (probe & mask).bit_count() & 1 for mask in _label_masks(n, support))
+
+
 def oracle_check_scan(g: Graph, prop: GraphProperty, support: int) -> Verdict:
     """Verdict witnessed by the least feasible friendly label bitset of the
     support; the whole table is scanned, so labelings_examined is its size."""
-    labs = _friendly_label_bits(support)
+    labs = _friendly_entries(tuple((0, 1 << p) for p in iter_bits(support)))
     ok = _passing(prop, g.edge_count)
     probe = _probe(g.n, g.edges, prop)
     best = min(
@@ -542,7 +592,7 @@ def oracle_empirical_max(prop: GraphProperty, n: int) -> tuple[int, Graph]:
             for v in range(n):
                 if bits & inc[v]:
                     sup |= 1 << v
-            if _decide_bits(n, bits, prop, sup):
+            if oracle_decide_scan(n, bits, prop, sup):
                 satisfying.append((sup.bit_count(), bits, sup))
         if satisfying:
             # The satisfying set covers the full permutation orbit of each of
@@ -591,7 +641,7 @@ def burnside_graph_count(n: int) -> int:
 
 
 def oracle_membership_bitmap(n: int, prop: GraphProperty) -> int:
-    """membership_bitmap(n, prop), one _decide_bits call per nonempty graph;
+    """membership_bitmap(n, prop), one mask-table scan per nonempty graph;
     each graph's support extends that of the graph without its lowest edge."""
     slots = edge_slots(n)
     endpoint = [(1 << i) | (1 << j) for i, j in pair_table(n)]
@@ -601,7 +651,7 @@ def oracle_membership_bitmap(n: int, prop: GraphProperty) -> int:
         low = g & -g
         sup = support[g ^ low] | endpoint[low.bit_length() - 1]
         support[g] = sup
-        if _decide_bits(n, g, prop, sup):
+        if oracle_decide_scan(n, g, prop, sup):
             bitmap |= 1 << g
     return bitmap
 

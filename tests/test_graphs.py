@@ -271,6 +271,41 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unread == []
 
 
+def test_every_private_top_level_name_in_the_package_is_read_by_the_package():
+    # A private helper that only the tests read is test code: it belongs in
+    # tests/conftest.py.  A name counts as read when some module of the
+    # package loads it, reads it as an attribute or imports it.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "cordia")
+    defined = {}
+    read = set()
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [
+                    t.id
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(t, ast.Name)
+                ]
+            else:
+                continue
+            for target in targets:
+                if target.startswith("_") and not target.startswith("__"):
+                    defined[target] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert sorted(f"{defined[n]}: {n}" for n in defined.keys() - read) == []
+
+
 @pytest.mark.parametrize(
     "name",
     [

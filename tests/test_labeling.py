@@ -1,6 +1,7 @@
 """Friendly labelings, edge rules, and the three decision procedures."""
 
 import random
+import re
 from math import comb
 
 import pytest
@@ -12,26 +13,34 @@ from cordia import (
     GraphProperty,
     Orientation,
     VertexLabeling,
+    bounds_for,
     check_23_cordial_digraph,
     check_23_orientable,
     check_property,
     complete,
     edge_slots,
+    empirical_max_edges,
     empty,
     enumerate_graphs,
     has_property,
+    identity_operator,
     induced_edge_counts,
     make_graph,
+    membership_bitmap,
+    minimal_noncordial,
     named,
     orientation_feasible,
     relabel,
+    search_strong_preservers,
+    strongly_preserves,
+    survey,
 )
 from cordia.graphs import MAX_VERTICES
 from cordia.labeling import (
     _check,
+    _decide_bits,
     _friendly_label_bits,
     _label_columns,
-    _label_masks,
     _labeling_mask,
     _passing,
     _probed_edges,
@@ -39,6 +48,7 @@ from cordia.labeling import (
 )
 
 from conftest import (
+    _label_masks,
     brute_23_orientable,
     brute_friendly_labelings,
     brute_least_witness,
@@ -143,7 +153,7 @@ def test_label_masks_match_pair_loop_oracle_entry_by_entry(s):
     support = sum(1 << v for v in rng.sample(range(n), s))
     shift = edge_slots(n)
     masks = _label_masks(n, support)
-    labs = _friendly_label_bits(support)
+    labs = oracle_friendly_label_bits(support)
     assert len(masks) == len(labs)
     for lab, mask in zip(labs, masks):
         cross, ones = oracle_edge_masks(n, lab)
@@ -360,14 +370,17 @@ def _modes(prop):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_check_matches_scan_oracle_on_every_small_edge_bitset(n):
-    # The bit-sliced decider against the table scan it replaced: the same
-    # Verdict, witness, orientation and count, orient23 also in ambient mode.
+    # The bit-sliced deciders against the table scan they replaced: the same
+    # decision, Verdict, witness, orientation and count, orient23 also in
+    # ambient mode.
     for bits in range(1, 1 << edge_slots(n)):
         g = _graph_from_bits(n, bits)
         for prop in ALL_PROPERTIES:
             for ambient in _modes(prop):
                 support = _labeling_mask(g, ambient)
-                assert _check(g, prop, support) == oracle_check_scan(g, prop, support), (g, prop)
+                oracle = oracle_check_scan(g, prop, support)
+                assert _check(g, prop, support) == oracle, (g, prop)
+                assert _decide_bits(n, bits, prop, support) == oracle.decision, (g, prop)
 
 
 @pytest.mark.parametrize("support", range(11, MAX_VERTICES + 1))
@@ -378,13 +391,15 @@ def test_check_matches_scan_oracle_at_large_supports(support, density):
         for prop in ALL_PROPERTIES:
             for ambient in _modes(prop):
                 mask = _labeling_mask(g, ambient)
-                assert _check(g, prop, mask) == oracle_check_scan(g, prop, mask), (g, prop)
+                oracle = oracle_check_scan(g, prop, mask)
+                assert _check(g, prop, mask) == oracle, (g, prop)
+                assert _decide_bits(g.n, g.edges, prop, mask) == oracle.decision, (g, prop)
 
 
 @pytest.mark.parametrize("s", range(1, MAX_VERTICES + 1))
 def test_label_columns_transpose_the_compact_friendly_table(s):
     # Witness minimality reads entries through the columns in table order.
-    table = _friendly_label_bits((1 << s) - 1)
+    table = oracle_friendly_label_bits((1 << s) - 1)
     cols = _label_columns(s)
     assert len(cols) == s
     lanes = len(table)
@@ -479,6 +494,31 @@ def test_edgeless_graphs_are_rejected():
             check_property(g, prop)
         with pytest.raises(ValueError):
             has_property(g, prop)
+
+
+PROPERTY_ENTRY_POINTS = {
+    "check_property": lambda p: check_property(named("c4"), p),
+    "has_property": lambda p: has_property(named("c4"), p),
+    "induced_edge_counts": lambda p: induced_edge_counts(named("paw"), VertexLabeling(0b0011, 0b1111), p),
+    "membership_bitmap": lambda p: membership_bitmap(4, p),
+    "bounds_for": lambda p: bounds_for(p, 6),
+    "survey": lambda p: survey(p, 6),
+    "empirical_max_edges": lambda p: empirical_max_edges(p, 6),
+    "minimal_noncordial": lambda p: minimal_noncordial(p, 6),
+    "strongly_preserves": lambda p: strongly_preserves(identity_operator(4), p),
+    "search_strong_preservers": lambda p: search_strong_preservers(4, p, "exhaustive"),
+}
+
+
+@pytest.mark.parametrize("bad", ["product", "PRODUCT", 7, None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(PROPERTY_ENTRY_POINTS))
+def test_a_property_that_is_no_member_is_a_value_error(entry, bad):
+    # The deciders dispatch on identity, so anything else would be answered
+    # as sum (or as orient23 by bounds_for); no table is cached for it.
+    cached = membership_bitmap.cache_info().currsize
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        PROPERTY_ENTRY_POINTS[entry](bad)
+    assert membership_bitmap.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("s", range(MAX_VERTICES + 1))

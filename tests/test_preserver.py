@@ -276,33 +276,35 @@ def test_membership_bitmap_makes_no_per_graph_decision(monkeypatch):
         assert membership_bitmap(6, prop) == want[prop]
 
 
-def test_membership_bitmap_reads_the_mask_tables(monkeypatch):
-    # A cold n=6 build reads each support's _label_masks entries through the
-    # probe window: no label set is enumerated or probed on its own, and one
-    # pass table (one _sliced_sum, the level tables being warm) is built per
-    # distinct probed edge set.
-    calls = {"_probed_edges": 0, "_friendly_label_bits": 0, "_sliced_sum": 0}
+def test_membership_bitmap_builds_one_pass_table_per_probed_edge_set(monkeypatch):
+    # A cold n=6 build keys its pass tables by the edges _probed_edges names
+    # for each friendly label set of each support: one pass table (one
+    # _sliced_sum, the level tables being warm) per distinct probed edge set.
+    real_sum = labeling_module._sliced_sum
+    real_probed = labeling_module._probed_edges
+    sums = []
+    probed = set()
 
-    def counting(name):
-        real = getattr(labeling_module, name)
+    def counting_sum(terms):
+        sums.append(1)
+        return real_sum(terms)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
+    def recording_probed(*args):
+        edges = real_probed(*args)
+        probed.add(edges)
+        return edges
 
     labeling_module._level_tables(edge_slots(6))
-    for name in calls:
-        monkeypatch.setattr(labeling_module, name, counting(name))
+    monkeypatch.setattr(labeling_module, "_sliced_sum", counting_sum)
+    monkeypatch.setattr(labeling_module, "_probed_edges", recording_probed)
     membership_bitmap.cache_clear()
-    labeling_module._label_masks.cache_clear()
     pass_tables = {}
     for prop in GraphProperty:
-        before = calls["_sliced_sum"]
+        sums.clear()
+        probed.clear()
         assert membership_bitmap(6, prop).bit_count() == MEMBER_COUNTS[6][prop]
-        pass_tables[prop.value] = calls["_sliced_sum"] - before
-    assert calls["_probed_edges"] == calls["_friendly_label_bits"] == 0
+        assert len(sums) == len(probed), prop
+        pass_tables[prop.value] = len(sums)
     assert pass_tables == {"sum": 31, "product": 36, "orient23": 31}
 
 
