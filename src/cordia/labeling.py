@@ -100,28 +100,26 @@ class Verdict:
 
 @lru_cache(maxsize=None)
 def _label_columns(s: int) -> tuple[int, ...]:
-    """The friendly label sets over s positions, per popcount class
-    ascending, read by position: bit i of column v is label v of entry i.
+    """The friendly label sets over s positions, those with popcount in the
+    window [s // 2, s // 2 + 1 + s % 2), ascending, read by position: bit i
+    of column v is label v of entry i.
 
-    Built by Pascal's rule: in ascending order, the k-subsets of t positions
-    are the k-subsets of t - 1 positions, then the (k - 1)-subsets of t - 1
-    positions with position t - 1 added.  So each earlier column is its
-    (t - 1, k) column followed by its (t - 1, k - 1) column, and column
-    t - 1 is zeros, then ones."""
-    row = [(1, ())]  # per k: (entries, columns) of the k-subsets of t positions
+    Built by Pascal's rule: in ascending order, the sets of t positions with
+    popcount in a window are those of t - 1 positions, then those of t - 1
+    positions in the window shifted down by one, with position t - 1 added.
+    So each earlier column is its two parts' columns side by side, and
+    column t - 1 is zeros, then ones."""
+    k, w = s // 2, 1 + s % 2
+    # row[d]: (entries, columns) of the sets of t positions with popcount in
+    # the window shifted down by d; the empty set is in it when k <= d < k + w.
+    row = [(int(k <= d < k + w), ()) for d in range(s + 1)]
     for t in range(1, s + 1):
-        none = (0, (0,) * (t - 1))
         nxt = []
-        for k in range(t + 1):
-            lo, lo_cols = row[k] if k < t else none
-            hi, hi_cols = row[k - 1] if k else none
+        for (lo, lo_cols), (hi, hi_cols) in zip(row, row[1:]):
             cols = tuple(a | b << lo for a, b in zip(lo_cols, hi_cols))
             nxt.append((lo + hi, cols + (((1 << hi) - 1) << lo,)))
         row = nxt
-    lo, cols = row[s // 2]
-    if s % 2:
-        cols = tuple(a | b << lo for a, b in zip(cols, row[s - s // 2][1]))
-    return cols
+    return row[0][1]
 
 
 def _lane_count(s: int) -> int:
@@ -136,8 +134,8 @@ def _lane_labels(cols: tuple[int, ...], positions: list[int], i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _friendly_label_bits(mask: int) -> tuple[int, ...]:
-    """All friendly label bitsets over the vertices in mask, per popcount
-    class ascending: the entries of _label_columns put on mask."""
+    """All friendly label bitsets over the vertices in mask, ascending: the
+    entries of _label_columns put on mask."""
     positions = list(iter_bits(mask))
     cols = _label_columns(len(positions))
     return tuple(_lane_labels(cols, positions, i) for i in range(_lane_count(len(positions))))
@@ -306,20 +304,11 @@ def _check(g: Graph, prop: GraphProperty, support: int) -> Verdict:
     support.  Every friendly labeling is decided at once, one lane of the
     support size's label columns each, so labelings_examined is their number."""
     hits, cols, positions = _passing_lanes(g.n, g.edges, prop, support)
-    s = len(positions)
-    lanes = _lane_count(s)
-    size = lanes >> (s & 1)  # entries per popcount class
-    # Each popcount class ascends, and putting entries on the support keeps
-    # their order, so the least witness is the least of the classes' first hits.
-    best = None
-    for start in range(0, lanes, size):
-        part = hits >> start & (1 << size) - 1
-        if part:
-            lab = _lane_labels(cols, positions, start + (part & -part).bit_length() - 1)
-            if best is None or lab < best:
-                best = lab
-    if best is None:
+    lanes = _lane_count(len(positions))
+    if not hits:
         return Verdict(False, None, None, lanes)
+    # The lanes ascend, and putting entries on the support keeps their order.
+    best = _lane_labels(cols, positions, (hits & -hits).bit_length() - 1)
     orientation = _witness_orientation(g, best) if prop is _ORIENT23 else None
     return Verdict(True, VertexLabeling(best, support), orientation, lanes)
 

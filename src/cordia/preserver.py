@@ -11,19 +11,21 @@ Every check and search mode reads the membership tables of
 truth table of a Boolean function of the C(n,2) edge variables, and an edge
 bijection permutes those variables.  Graph-by-graph scans read a table through one text view,
 ``_flags``, and map graphs through slot maps with ``graphs._map_slots``.
-The exact paths share one kernel:
+The exact paths share one step, ``_assign``: it gives one slot its target
+and swaps two variables of the table with one delta swap (Knuth, TAOCP 4A,
+7.1.3), so the table stays the membership table composed with the map.
 
-- ``strongly_preserves`` applies a bijection's variable permutation to the
-  whole table with one delta swap per transposition (Knuth, TAOCP 4A,
-  7.1.3); the lowest set bit of ``table ^ permuted`` is the least graph, in
-  ascending edge-bitset order, whose membership the operator changes.
-  Operators that are not edge bijections get the full graph-by-graph scan,
-  which finds the same least counterexample.
-- Exhaustive search assigns the images of slots 0, 1, ... in order, trying
-  targets in ascending order, and checks each graph as soon as its highest
-  slot has an image, so survivors come out in lexicographic order and a
-  partial map is dropped at the first graph it changes.  When no edge-count
-  level is mixed (``_mixed_levels``) all survive; too many are refused first.
+- ``strongly_preserves`` runs the step over a bijection's slots; the lowest
+  set bit of ``bm ^ table`` is the least graph, in ascending edge-bitset
+  order, whose membership the operator changes.  Operators that are not
+  edge bijections get the full graph-by-graph scan, which finds the same
+  least counterexample.
+- Exhaustive search is a depth-first search over the step: slots 0, 1, ...
+  take their targets in ascending order, and a partial map goes deeper only
+  while the block of graphs whose highest slot it just mapped keeps its
+  membership, so survivors come out in lexicographic order.  When no
+  edge-count level is mixed (``_mixed_levels``) all survive; too many are
+  refused first.
 - Vertex-only search runs every vertex map through the table check.
 
 Sample mode keeps its own scan, since nearly every sampled bijection fails
@@ -239,36 +241,35 @@ def _swap_mask(slots: int, i: int, j: int) -> int:
     return _edge_variable(slots, i) & ~_edge_variable(slots, j)
 
 
-def _permute_table(table: int, pi: tuple[int, ...]) -> int:
-    """The truth table g -> table[pi(g)], where pi(g) moves bit k of g to bit pi[k].
+def _assign(table: int, sigma: list[int], where: list[int], j: int, t: int) -> int:
+    """Give slot j the target t and return table composed with the same swap.
 
-    pi is split as t_1 o t_2 o ... o t_r, each t a transposition (k v) with
-    k < v, and t_1 is applied to the table first; swapping variables k and v
-    is one delta swap over the positions with bit k set and bit v clear.
-    """
-    slots = len(pi)
-    cur = list(pi)
-    where = [0] * slots
-    for x, v in enumerate(cur):
-        where[v] = x
-    for k in range(slots):
-        v = cur[k]
-        if v == k:
-            continue
-        delta = (1 << v) - (1 << k)
-        x = ((table >> delta) ^ table) & _swap_mask(slots, k, v)
+    sigma is a slot permutation whose slots before j are fixed, where its
+    inverse, and table the truth table g -> bm[sigma(g)], where sigma(g) moves
+    bit k of g to bit sigma[k].  The step composes sigma with the
+    transposition (j u), u = where[t] >= j, which swaps variables j and u of
+    the table: one delta swap (Knuth, TAOCP 4A, 7.1.3) over the positions with
+    bit j set and bit u clear.  So table == bm o sigma stays true."""
+    u = where[t]
+    if u != j:
+        delta = (1 << u) - (1 << j)
+        x = ((table >> delta) ^ table) & _swap_mask(len(sigma), j, u)
         table ^= x | (x << delta)
-        # cur becomes (k v) o cur, which fixes 0..k.
-        y = where[k]
-        cur[y], where[v] = v, y
-        cur[k], where[k] = k, k
+        s = sigma[j]
+        sigma[j], sigma[u], where[t], where[s] = t, s, j, u
     return table
 
 
 def _table_counterexample(bm: int, pi: tuple[int, ...]) -> int | None:
     """Least graph g whose membership differs from its image's under the edge
-    bijection pi, or None."""
-    diff = bm ^ _permute_table(bm, pi)
+    bijection pi, or None: one ``_assign`` step per slot turns bm into
+    g -> bm[pi(g)], and the answer is the lowest set bit of the difference."""
+    sigma = list(range(len(pi)))
+    where = sigma[:]
+    table = bm
+    for j, t in enumerate(pi):
+        table = _assign(table, sigma, where, j, t)
+    diff = bm ^ table
     return (diff & -diff).bit_length() - 1 if diff else None
 
 
@@ -376,46 +377,37 @@ def _pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
     """Every edge bijection that strongly preserves bm, the membership table at
     n, in lexicographic order.
 
-    Slots 0, 1, ... get their images in order, targets tried in ascending
-    order.  Once slot j-1 has one, every graph whose highest slot is j-1 is
-    fully mapped; its image is extended from the image of the graph without
-    that slot and its membership compared.  A leaf is therefore a verified
-    bijection, and a partial map dies at the first graph it changes.
+    A depth-first search over ``_assign``: at depth j slot j takes each unused
+    target in ascending order.  Block j of the table, positions 2^j .. 2^(j+1)
+    - 1, holds the graphs whose highest slot is j, now fully mapped, and no
+    later step moves it; the search goes deeper only when that block equals
+    bm's.  A leaf is therefore a verified bijection, and a partial map dies
+    at the first block it changes.
     """
     slots = edge_slots(n)
-    member = list(_flags(bm, slots))
-    image = [0] * (1 << slots)
-    used = [False] * slots
-    pi: list[int] = []
+    sigma = list(range(slots))
+    where = sigma[:]
     passing: list[tuple[int, ...]] = []
 
-    def extend(j: int) -> None:
+    def extend(j: int, table: int) -> None:
         if j == slots:
-            passing.append(tuple(pi))
+            passing.append(tuple(sigma))
             if len(passing) > SURVIVOR_BUDGET:
                 raise BudgetError(
                     f"more than {SURVIVOR_BUDGET} strong preservers at n={n}; "
                     "the class is too permissive for an exhaustive report"
                 )
             return
-        top = 1 << j
-        for t in range(slots):
-            if used[t]:
-                continue
-            bit = 1 << t
-            for g in range(top):
-                img = image[g] | bit
-                if member[img] != member[top | g]:
-                    break
-                image[top | g] = img
-            else:
-                used[t] = True
-                pi.append(t)
-                extend(j + 1)
-                pi.pop()
-                used[t] = False
+        block = ((1 << (1 << j)) - 1) << (1 << j)
+        want = bm & block
+        for t in sorted(sigma[j:]):
+            s, u = sigma[j], where[t]
+            child = _assign(table, sigma, where, j, t)
+            if child & block == want:
+                extend(j + 1, child)
+            sigma[j], sigma[u], where[s], where[t] = s, t, j, u
 
-    extend(0)
+    extend(0, bm)
     return passing
 
 

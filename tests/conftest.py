@@ -22,6 +22,8 @@ replaced, and the edge-count oracle is the graph-by-graph level check that
 the level tables replaced.  The two preserver oracles are the
 graph-by-graph paths the truth-table kernel replaced; they read membership
 from ``membership_bitmap``, which is tested against the membership oracle.
+The pruned-search oracle is exhaustive search before it took the kernel's
+step: the same prefix order, checked graph by graph over an image array.
 The canonical-key oracle is the permutation minimum the
 least-bitset search replaced, and the enumeration oracle is the subset walk
 that level-by-level extension replaced; it takes its keys from
@@ -544,8 +546,8 @@ def oracle_extend_level(n: int, m: int) -> tuple[Graph, ...]:
 
 
 def oracle_friendly_label_bits(mask: int) -> tuple[int, ...]:
-    """Friendly label bitsets over the vertices in mask, per popcount class
-    ascending, by Gosper iteration over the compact positions."""
+    """Friendly label bitsets over the vertices in mask, ascending, by Gosper
+    iteration over the compact positions, one popcount class at a time."""
     positions = list(iter_bits(mask))
     s = len(positions)
     sizes = (s // 2,) if s % 2 == 0 else (s // 2, s - s // 2)
@@ -563,7 +565,7 @@ def oracle_friendly_label_bits(mask: int) -> tuple[int, ...]:
             c = x & -x
             r = x + c
             x = (((r ^ x) >> 2) // c) | r
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def oracle_empirical_max(prop: GraphProperty, n: int) -> tuple[int, Graph]:
@@ -721,6 +723,46 @@ def oracle_exhaustive_survivors(n: int, prop) -> list[tuple[int, ...]]:
                 break
         else:
             passing.append(pi)
+    return passing
+
+
+def oracle_pruned_bijections(n: int, bm: int) -> list[tuple[int, ...]]:
+    """Every slot bijection that keeps membership in the table bm, in
+    lexicographic order, by the prefix search over a per-graph image array.
+
+    Slots 0, 1, ... get their images in order, targets tried in ascending
+    order.  Once slot j-1 has one, every graph whose highest slot is j-1 is
+    fully mapped; its image is extended from the image of the graph without
+    that slot and its membership compared."""
+    slots = edge_slots(n)
+    member = format(bm, f"0{1 << slots}b")[::-1]
+    image = [0] * (1 << slots)
+    used = [False] * slots
+    pi: list[int] = []
+    passing: list[tuple[int, ...]] = []
+
+    def extend(j: int) -> None:
+        if j == slots:
+            passing.append(tuple(pi))
+            return
+        top = 1 << j
+        for t in range(slots):
+            if used[t]:
+                continue
+            bit = 1 << t
+            for g in range(top):
+                img = image[g] | bit
+                if member[img] != member[top | g]:
+                    break
+                image[top | g] = img
+            else:
+                used[t] = True
+                pi.append(t)
+                extend(j + 1)
+                pi.pop()
+                used[t] = False
+
+    extend(0)
     return passing
 
 

@@ -35,7 +35,7 @@ from cordia import (
     strongly_preserves,
     survey,
 )
-from cordia.graphs import MAX_VERTICES
+from cordia.graphs import MAX_VERTICES, iter_bits
 from cordia.labeling import (
     _check,
     _decide_bits,
@@ -48,6 +48,7 @@ from cordia.labeling import (
 )
 
 from conftest import (
+    _friendly_entries,
     _label_masks,
     brute_23_orientable,
     brute_friendly_labelings,
@@ -153,7 +154,9 @@ def test_label_masks_match_pair_loop_oracle_entry_by_entry(s):
     support = sum(1 << v for v in rng.sample(range(n), s))
     shift = edge_slots(n)
     masks = _label_masks(n, support)
-    labs = oracle_friendly_label_bits(support)
+    # _label_masks keeps its entries per popcount class; the oracle ascends.
+    labs = _friendly_entries(tuple((0, 1 << p) for p in iter_bits(support)))
+    assert sorted(labs) == list(oracle_friendly_label_bits(support))
     assert len(masks) == len(labs)
     for lab, mask in zip(labs, masks):
         cross, ones = oracle_edge_masks(n, lab)
@@ -398,7 +401,7 @@ def test_check_matches_scan_oracle_at_large_supports(support, density):
 
 @pytest.mark.parametrize("s", range(1, MAX_VERTICES + 1))
 def test_label_columns_transpose_the_compact_friendly_table(s):
-    # Witness minimality reads entries through the columns in table order.
+    # Witness minimality reads the lowest passing lane, so the lanes ascend.
     table = oracle_friendly_label_bits((1 << s) - 1)
     cols = _label_columns(s)
     assert len(cols) == s
@@ -535,10 +538,10 @@ def test_friendly_label_bits_match_gosper_oracle_on_seeded_masks():
 
 
 def test_friendly_label_bits_ordering_is_stable():
-    # Cached and relied on for witness minimality: ascending within each
-    # popcount class, smaller class first for odd supports.
+    # Cached and relied on for witness minimality: ascending, both popcount
+    # classes interleaved for odd supports.
     labs = _friendly_label_bits(0b111)
-    assert labs == (0b001, 0b010, 0b100, 0b011, 0b101, 0b110)
+    assert labs == (0b001, 0b010, 0b011, 0b100, 0b101, 0b110)
 
 
 def _graph_from_bits(n, bits):

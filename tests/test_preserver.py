@@ -48,6 +48,7 @@ from conftest import (
     oracle_is_surjective,
     oracle_is_vertex_permutation,
     oracle_membership_bitmap,
+    oracle_pruned_bijections,
     oracle_relabel,
     oracle_sample_draws,
     oracle_sample_report,
@@ -462,6 +463,24 @@ def test_exhaustive_search_matches_permutation_walk_oracle(n, prop):
     assert report.candidates_checked == factorial(edge_slots(n))
     assert survivor_maps(report) == want
     assert _pruned_bijections(n, membership_bitmap(n, prop)) == want
+
+
+PRUNED_ORACLE_TABLES = ORACLE_SEARCHES + [(5, GraphProperty.SUM), (3, "seeded"), (4, "seeded")]
+
+
+@pytest.mark.parametrize("n, prop", PRUNED_ORACLE_TABLES, ids=lambda v: getattr(v, "value", v))
+def test_pruned_bijections_match_image_array_oracle(n, prop):
+    """The search over the kernel's swap step keeps the survivors, and their
+    lexicographic order, of the graph-by-graph search it replaced.  Seeded
+    tables are not closed under vertex maps, so there a map can keep every
+    graph below the last slot and still change one that holds it."""
+    if prop == "seeded":
+        rng = Random(n)
+        tables = [rng.getrandbits(1 << edge_slots(n)) for _ in range(200)]
+    else:
+        tables = [membership_bitmap(n, prop)]
+    for bm in tables:
+        assert _pruned_bijections(n, bm) == oracle_pruned_bijections(n, bm), bm
 
 
 def assert_matches_scan_oracle(op, prop):
