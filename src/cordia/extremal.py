@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, _edge_count_classes, edge_slots, enumerate_graphs
+from .graphs import Graph, _canonical_key_bits, _check_level, _edge_count_classes
+from .graphs import canonical_representative, edge_slots, enumerate_graphs
 from .labeling import GraphProperty, _decide_bits, _require_property
 
 
@@ -95,18 +96,40 @@ def empirical_max_edges(prop: GraphProperty, n: int) -> tuple[int, Graph]:
 
     Walks m downward from the complete graph and decides each isomorphism
     class of a level once; a level is certified failing only after every one
-    of its classes has failed.  enumerate_graphs returns a level sorted by
-    canonical key, so the first satisfying class is the witness, and its
-    limits are the only refusals.
+    of its classes has failed.  The limits of enumerate_graphs are the only
+    refusals, and each level meets them before any decision.
     """
     _require_property(prop)
     if n < 2:
         raise ValueError("need at least one potential edge")
     for m in range(edge_slots(n), 0, -1):
-        for g in enumerate_graphs(n, m):
-            if _decide_bits(n, g.edges, prop):
-                return m, g
+        witness = _least_passing_class(prop, n, m)
+        if witness is not None:
+            return m, witness
     raise AssertionError("unreachable: a single edge satisfies every property")
+
+
+def _least_passing_class(prop: GraphProperty, n: int, m: int) -> Graph | None:
+    """The satisfying class of level (n, m) with the least canonical key, or
+    None when every class fails.
+
+    At most half the slots, enumerate_graphs returns the level sorted by
+    key, so the first satisfying class is the least.  Above half, the
+    classes are the complements of level C(n, 2) - m; each complement is
+    decided first and only the satisfying ones are keyed, so a failing
+    level keys nothing.
+    """
+    slots = edge_slots(n)
+    if 2 * m <= slots:
+        return next((g for g in enumerate_graphs(n, m) if _decide_bits(n, g.edges, prop)), None)
+    _check_level(n, m)
+    full = (1 << slots) - 1
+    keys = [
+        _canonical_key_bits(n, bits)
+        for bits in (full ^ g.edges for g in enumerate_graphs(n, slots - m))
+        if _decide_bits(n, bits, prop)
+    ]
+    return canonical_representative(min(keys), n) if keys else None
 
 
 def minimal_noncordial(prop: GraphProperty, edge_cap: int) -> list[tuple[int, Graph]]:

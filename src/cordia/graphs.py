@@ -7,8 +7,11 @@ value hashable and immutable.  ``_map_slots`` is the one map of an edge
 bitset through a slot map, and ``_edge_variable`` the truth table of one
 edge over all graphs.  The canonical form of a graph is its least edge
 bitset over all orderings of its non-isolated vertices, found by a
-row-by-row search that keeps only the least partial orderings; it is
-available while that support is small (at most 10 vertices).
+row-by-row search that keeps only the least partial orderings and places
+one member of each twin class at a time (twins tie and swapping them is an
+automorphism, the pruning of McKay, "Practical graph isomorphism", Congr.
+Numer. 30, 1981, restricted to twin swaps); it is available while that
+support is small (at most 10 vertices).
 
 Isomorphism classes are enumerated level by level: each class with m edges
 comes from a class with m - 1 edges plus one absent edge.  Two vertices are
@@ -17,10 +20,11 @@ them is an automorphism, so every absent edge joining the same two twin
 classes gives the same class; only one of them is tried.  A child is keyed
 only when its new edge has the greatest of an isomorphism-invariant edge key
 among its edges, so a class is keyed only from the parents that delete one
-of its top edges.  These are the cheap parts of canonical augmentation
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): twin
-classes stand in for automorphism orbits, and the canonical-deletion test
-runs without its orbit step.
+of its top edges; the degree sum leads that key, so most children are
+settled before the rest of it is built.  These are the cheap parts of
+canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998): twin classes stand in for automorphism orbits, and the
+canonical-deletion test runs without its orbit step.
 
 The classes of one edge count on any support are multisets of connected
 classes (``_edge_count_classes``).  Only this module generates classes, so the
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetError, UnknownTagError
@@ -275,25 +280,35 @@ def _least_bits(adj: list[int]) -> int:
     fixes row p, the slots (p, j) with j > p, as its pattern of neighbours
     among the placed positions; row p outranks every lower row, so only the
     placements whose rows so far are least can lead to the minimum.  A state
-    maps each unplaced vertex to its pattern (placed vertices hold -1): two
-    placements with equal states have the same completions, so each is kept
-    once.
+    maps each unplaced vertex to its pattern and each placed vertex to
+    (1 << k) - 1, above every pattern: two placements with equal states have
+    the same completions, so each is kept once.  Twins share a pattern while
+    both are unplaced, and swapping them is an automorphism that fixes every
+    placed vertex, so placing either one leads to the same rows; a tied
+    vertex is tried only when the twin before it is already placed.
     """
     k = len(adj)
+    full = (1 << k) - 1
+    prev: list[int] = []  # per vertex, the twin before it, or -1
+    last: dict[int, int] = {}
+    for v, c in enumerate(_twin_classes(adj)):
+        prev.append(last.get(c, -1))
+        last[c] = v
     bits = 0
     states = {(0,) * k}
     for p in range(k - 1, -1, -1):
-        best = min(r for pats in states for r in pats if r >= 0)
+        best = min(map(min, states))
         bit = 1 << p
+        rows: dict[int, tuple[int, ...]] = {}
         nxt = set()
         for pats in states:
             for u, r in enumerate(pats):
-                if r == best:
-                    nu = adj[u]
-                    nxt.add(tuple(
-                        -1 if w == u else (q | bit if q >= 0 and nu >> w & 1 else q)
-                        for w, q in enumerate(pats)
-                    ))
+                if r == best and (prev[u] < 0 or pats[prev[u]] == full):
+                    row = rows.get(u)
+                    if row is None:
+                        a = adj[u]
+                        row = rows[u] = tuple(full if w == u else a >> w & 1 and bit for w in range(k))
+                    nxt.add(tuple(map(or_, pats, row)))
         states = nxt
         bits |= (best >> (p + 1)) << (p * (2 * k - p - 1) // 2)
     return bits
@@ -306,7 +321,7 @@ def _canonical_key_bits(n: int, bits: int) -> CanonicalKey:
         return CanonicalKey(0, 0, 0)
     if ks > MAX_CANONICAL_SUPPORT:
         raise BudgetError(
-            f"canonical form needs a permutation scan over {ks} support vertices; "
+            f"canonical key search over {ks} support vertices; "
             f"limit is {MAX_CANONICAL_SUPPORT}"
         )
     adj = _adjacency(n, bits)
@@ -321,25 +336,38 @@ def canonical_form(g: Graph) -> CanonicalKey:
 
 
 def canonical_representative(key: CanonicalKey, n: int) -> Graph:
-    """The graph on n vertices whose support is packed at 0..support-1 with the key's bitset."""
-    if key.support > n:
-        raise ValueError(f"key needs {key.support} vertices but n={n}")
-    pt = pair_table(key.support) if key.support >= 2 else ()
-    return make_graph(n, [pt[e] for e in iter_bits(key.bits)])
+    """The graph on n vertices whose support is packed at 0..support-1 with the key's bitset.
+
+    A key whose parts disagree is a ValueError: a negative support, bits
+    outside the C(support, 2) slots of its support, bits that leave a support
+    vertex isolated, or an edge count other than the bitset's."""
+    support, m, bits = key
+    if support < 0:
+        raise ValueError(f"key support must be non-negative, got {support}")
+    if support > n:
+        raise ValueError(f"key needs {support} vertices but n={n}")
+    if not 0 <= bits < 1 << edge_slots(support):
+        raise ValueError(f"key bits {bits} lie outside the {edge_slots(support)} slots of support {support}")
+    if _support_of_bits(support, bits) != (1 << support) - 1:
+        raise ValueError(f"key bits {bits} leave some of the {support} support vertices isolated")
+    if bits.bit_count() != m:
+        raise ValueError(f"key edge count {m} but its bits hold {bits.bit_count()} edges")
+    pt = pair_table(support)
+    return make_graph(n, [pt[e] for e in iter_bits(bits)])
 
 
-def _twin_classes(g: Graph) -> list[int]:
-    """Per vertex, the least vertex of its twin class.
+def _twin_classes(adj: list[int]) -> list[int]:
+    """Per vertex, the least vertex of its twin class, where adj[v] is the
+    neighbour mask of v.
 
     u and v are twins when N(u) - {v} = N(v) - {u}.  That is an equivalence:
     if w is an adjacent twin of v, a non-adjacent twin of v would be adjacent
     to w and so to v; twins of one kind share their (open or closed)
     neighbourhood.  All isolated vertices form one class.
     """
-    adj = _adjacency(g.n, g.edges)
-    lead = list(range(g.n))
+    lead = list(range(len(adj)))
     leaders: list[int] = []
-    for v in range(g.n):
+    for v in range(len(adj)):
         for u in leaders:
             if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
                 lead[v] = u
@@ -352,7 +380,7 @@ def _twin_classes(g: Graph) -> list[int]:
 def _extension_slots(g: Graph) -> list[int]:
     """One absent edge slot per unordered pair of twin classes of g that an
     absent edge joins, the lowest such slot."""
-    lead = _twin_classes(g)
+    lead = _twin_classes(_adjacency(g.n, g.edges))
     first: dict[tuple[int, int], int] = {}
     for k, (i, j) in enumerate(pair_table(g.n)):
         if not g.edges >> k & 1:
@@ -379,9 +407,32 @@ def _edge_invariants(n: int, bits: int) -> dict[int, tuple]:
 
 def _tops_edge_invariant(n: int, bits: int, k: int) -> bool:
     """True when edge slot k has the greatest invariant among the graph's
-    edges; ties count."""
+    edges; ties count.  The degree sum leads the invariant, so an edge with a
+    larger degree sum settles it before any invariant is built."""
+    pt = pair_table(n)
+    deg = [a.bit_count() for a in _adjacency(n, bits)]
+    i, j = pt[k]
+    top = deg[i] + deg[j]
+    for e in iter_bits(bits):
+        a, b = pt[e]
+        if deg[a] + deg[b] > top:
+            return False
     inv = _edge_invariants(n, bits)
     return inv[k] == max(inv.values())
+
+
+def _check_level(n: int, m: int) -> None:
+    """The refusals of enumeration level (n, m), raised before any work."""
+    if n < 1:
+        raise ValueError(f"vertex count must be at least 1, got {n}")
+    if n > MAX_ENUMERATION_VERTICES:
+        raise BudgetError(f"enumeration is capped at n={MAX_ENUMERATION_VERTICES}, got {n}")
+    slots = edge_slots(n)
+    if not 0 <= m <= slots:
+        raise ValueError(f"edge count {m} out of range for n={n}")
+    subsets = comb(slots, min(m, slots - m))
+    if subsets > SUBSET_BUDGET:
+        raise BudgetError(f"level (n={n}, m={m}) has {subsets} subsets; budget is {SUBSET_BUDGET}")
 
 
 @lru_cache(maxsize=None)
@@ -410,16 +461,9 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     classes are still keyed from several parents, and the key set removes
     the repeats.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
-    if n > MAX_ENUMERATION_VERTICES:
-        raise BudgetError(f"enumeration is capped at n={MAX_ENUMERATION_VERTICES}, got {n}")
+    _check_level(n, m)
     slots = edge_slots(n)
-    if not 0 <= m <= slots:
-        raise ValueError(f"edge count {m} out of range for n={n}")
     mm = min(m, slots - m)
-    if comb(slots, mm) > SUBSET_BUDGET:
-        raise BudgetError(f"level (n={n}, m={m}) has {comb(slots, mm)} subsets; budget is {SUBSET_BUDGET}")
     if m == 0:
         keys = {CanonicalKey(0, 0, 0)}
     elif mm != m:

@@ -25,7 +25,11 @@ from ``membership_bitmap``, which is tested against the membership oracle.
 The pruned-search oracle is exhaustive search before it took the kernel's
 step: the same prefix order, checked graph by graph over an image array.
 The canonical-key oracle is the permutation minimum the
-least-bitset search replaced, and the enumeration oracle is the subset walk
+least-bitset search replaced.  The least-bits oracle is that search before
+it tried one member per twin class: every tied vertex is placed, and placed
+vertices hold -1.  The top-edge oracle builds every edge's invariant for
+each child, where ``_tops_edge_invariant`` first compares degree sums.  The
+enumeration oracle is the subset walk
 that level-by-level extension replaced; it takes its keys from
 ``_canonical_key_bits``, which is tested against the former.  The extension
 oracle adds every absent edge to every representative of the level below,
@@ -78,6 +82,7 @@ from cordia.graphs import (
     MAX_VERTICES,
     SUBSET_BUDGET,
     _canonical_key_bits,
+    _edge_invariants,
     canonical_representative,
     edge_index,
     incident_masks,
@@ -521,6 +526,37 @@ def oracle_canonical_bits(g: Graph) -> int:
         if best is None or bits < best:
             best = bits
     return best
+
+
+def oracle_least_bits(adj: list[int]) -> int:
+    """Least edge bitset over all orderings of the vertices 0..k-1, where
+    adj[v] is the neighbour mask of v: the row-by-row search that tries every
+    tied vertex, twins included, and marks placed vertices with -1."""
+    k = len(adj)
+    bits = 0
+    states = {(0,) * k}
+    for p in range(k - 1, -1, -1):
+        best = min(r for pats in states for r in pats if r >= 0)
+        bit = 1 << p
+        nxt = set()
+        for pats in states:
+            for u, r in enumerate(pats):
+                if r == best:
+                    nu = adj[u]
+                    nxt.add(tuple(
+                        -1 if w == u else (q | bit if q >= 0 and nu >> w & 1 else q)
+                        for w, q in enumerate(pats)
+                    ))
+        states = nxt
+        bits |= (best >> (p + 1)) << (p * (2 * k - p - 1) // 2)
+    return bits
+
+
+def oracle_tops_edge_invariant(n: int, bits: int, k: int) -> bool:
+    """True when edge slot k has the greatest invariant among the graph's
+    edges, ties counted, read off every edge's full invariant."""
+    inv = _edge_invariants(n, bits)
+    return inv[k] == max(inv.values())
 
 
 def oracle_enumerate_keys(n: int, m: int) -> list[CanonicalKey]:

@@ -26,7 +26,7 @@ from cordia import (
     survey,
     to_graph6,
 )
-from cordia.graphs import _edge_count_classes
+from cordia.graphs import _canonical_key_bits, _edge_count_classes
 
 from conftest import (
     brute_23_orientable,
@@ -234,14 +234,39 @@ def test_survey_bundles_bound_and_empirical():
 
 
 def test_empirical_budget_and_domain_errors():
-    # Refusals come from enumerate_graphs: a level over SUBSET_BUDGET, or n
-    # above the enumeration cap.
-    with pytest.raises(BudgetError, match="n=8, m=21"):
+    # Refusals are enumerate_graphs' own for the level walked: a level over
+    # SUBSET_BUDGET, named as the level above half rather than its
+    # complement, or n above the enumeration cap.
+    with pytest.raises(BudgetError, match=r"^level \(n=8, m=21\) has 1184040 subsets; budget is 600000$"):
         empirical_max_edges(GraphProperty.PRODUCT, 8)
     with pytest.raises(BudgetError, match="enumeration is capped at n=9"):
         empirical_max_edges(GraphProperty.SUM, 10)
     with pytest.raises(ValueError):
         empirical_max_edges(GraphProperty.SUM, 1)
+
+
+def test_empirical_key_calls(monkeypatch):
+    # Deterministic work counts.  Cold product n=7 makes 346 key calls to
+    # enumerate levels 1-8, whose complements are levels 13-20, and keys only
+    # the 63 complements that pass at m=13; keying every complement class
+    # made 589.
+    calls = 0
+
+    def counted(n, bits):
+        nonlocal calls
+        calls += 1
+        return _canonical_key_bits(n, bits)
+
+    monkeypatch.setattr("cordia.graphs._canonical_key_bits", counted)
+    monkeypatch.setattr(extremal_module, "_canonical_key_bits", counted)
+    enumerate_graphs.cache_clear()
+    assert empirical_max_edges(GraphProperty.PRODUCT, 7)[0] == 13
+    assert calls == 409
+    # Level 14 is the complements of level 7, enumerated above; every class
+    # fails product, so none is keyed.
+    calls = 0
+    assert extremal_module._least_passing_class(GraphProperty.PRODUCT, 7, 14) is None
+    assert calls == 0
 
 
 # ------------------------------------------------------- complete-graph facts

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cordia import (
     BudgetError,
+    CanonicalKey,
     Graph,
     GraphFormatError,
     UnknownTagError,
@@ -37,10 +38,13 @@ from cordia import (
     union,
 )
 from cordia.graphs import (
+    _adjacency,
     _canonical_key_bits,
     _edge_invariants,
     _extension_slots,
+    _least_bits,
     _map_slots,
+    _tops_edge_invariant,
     _twin_classes,
     _vertex_edge_map,
     incident_masks,
@@ -56,10 +60,12 @@ from conftest import (
     oracle_connected_on_support,
     oracle_enumerate_keys,
     oracle_extend_level,
+    oracle_least_bits,
     oracle_parse_graph6,
     oracle_relabel,
     oracle_to_graph6,
     oracle_support_mask,
+    oracle_tops_edge_invariant,
 )
 
 graphs_st = st.integers(2, 7).flatmap(
@@ -211,6 +217,65 @@ def test_canonical_key_is_least_bitset_on_seeded_graphs(support, count, density)
         assert key.bits == oracle_canonical_bits(g)
 
 
+def test_least_bits_matches_oracle_on_every_graph_up_to_support_6():
+    # Up to 5 vertices the oracle runs on every graph.  On 6 it runs once per
+    # class: its value is the same on every relabeling, so all 720 vertex
+    # maps spread it over the class, and the search runs on every graph.
+    for k in range(1, 6):
+        for bits in range(1 << edge_slots(k)):
+            adj = _adjacency(k, bits)
+            assert _least_bits(adj) == oracle_least_bits(adj), (k, bits)
+    maps = [_vertex_edge_map(perm) for perm in itertools.permutations(range(6))]
+    want = {}
+    for m in range(edge_slots(6) + 1):
+        for rep in enumerate_graphs(6, m):
+            value = oracle_least_bits(_adjacency(6, rep.edges))
+            slots = tuple(iter_bits(rep.edges))
+            for slot_map in maps:
+                want[_map_slots(slot_map, slots)] = value
+    assert len(want) == 1 << edge_slots(6)
+    for bits, value in want.items():
+        assert _least_bits(_adjacency(6, bits)) == value, bits
+
+
+@pytest.mark.parametrize("support", range(7, 11))
+def test_least_bits_matches_oracle_on_seeded_graphs(support):
+    for density in (0.2, 0.5, 0.8):
+        for g in _seeded_graphs_on_support(support, density, 6, seed=support):
+            adj = _adjacency(support, g.edges)
+            assert _least_bits(adj) == oracle_least_bits(adj), g
+
+
+def _twin_families(k: int) -> list[Graph]:
+    """K_k, every K_{a,k-a} (a = 1 is the star), and the complements of a
+    perfect or near-perfect matching, of one edge and of a triangle."""
+    full = (1 << edge_slots(k)) - 1
+    out = [complete(k)]
+    for a in range(1, k // 2 + 1):
+        out.append(make_graph(k, [(i, j) for i in range(a) for j in range(a, k)]))
+    sparse = [make_graph(k, [(2 * i, 2 * i + 1) for i in range(k // 2)]), edge_graph(k, (0, 1))]
+    if k >= 3:
+        sparse.append(make_graph(k, [(0, 1), (1, 2), (0, 2)]))
+    out.extend(Graph(k, full ^ g.edges) for g in sparse)
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_least_bits_matches_oracle_on_twin_families(k):
+    for g in _twin_families(k):
+        adj = _adjacency(k, g.edges)
+        assert len(set(_twin_classes(adj))) < k, g
+        assert _least_bits(adj) == oracle_least_bits(adj), g
+
+
+def test_least_bits_matches_oracle_on_symmetric_graphs_without_twins():
+    cycles = [make_graph(k, [(i, (i + 1) % k) for i in range(k)]) for k in (8, 9, 10)]
+    for g in cycles + [named("petersen")]:
+        adj = _adjacency(g.n, g.edges)
+        assert _twin_classes(adj) == list(range(g.n)), g
+        assert _least_bits(adj) == oracle_least_bits(adj), g
+
+
 def test_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cordia.__file__)))
     code = "import sys; sys.path.insert(0, sys.argv[1]); import cordia; print('numpy' in sys.modules)"
@@ -331,11 +396,30 @@ def test_every_public_name_has_its_own_docstring():
     assert [name for name in PUBLIC_NAMES if not own_docstring(getattr(cordia, name))] == []
 
 
+def test_canonical_representative_refuses_inconsistent_keys():
+    with pytest.raises(ValueError, match="edge count 5 but its bits hold 3 edges"):
+        canonical_representative(CanonicalKey(3, 5, 7), 3)
+    with pytest.raises(ValueError, match="outside the 3 slots of support 3"):
+        canonical_representative(CanonicalKey(3, 4, 15), 5)
+    with pytest.raises(ValueError, match="outside the 3 slots of support 3"):
+        canonical_representative(CanonicalKey(3, 1, -1), 5)
+    with pytest.raises(ValueError, match="support must be non-negative, got -1"):
+        canonical_representative(CanonicalKey(-1, 0, 0), 4)
+    with pytest.raises(ValueError, match="leave some of the 4 support vertices isolated"):
+        canonical_representative(CanonicalKey(4, 1, 1), 4)
+    with pytest.raises(ValueError, match="leave some of the 1 support vertices isolated"):
+        canonical_representative(CanonicalKey(1, 0, 0), 4)
+    with pytest.raises(ValueError, match="key needs 5 vertices but n=4"):
+        canonical_representative(CanonicalKey(5, 4, 15), 4)
+    assert canonical_representative(CanonicalKey(0, 0, 0), 3) == empty(3)
+    assert canonical_representative(CanonicalKey(3, 3, 7), 4) == make_graph(4, [(0, 1), (0, 2), (1, 2)])
+
+
 def test_canonical_support_budget():
-    # 11 non-isolated vertices exceed MAX_CANONICAL_SUPPORT
+    # 12 non-isolated vertices exceed MAX_CANONICAL_SUPPORT
     g = make_graph(12, [(i, i + 1) for i in range(0, 11, 2)] + [(0, 11)])
     assert g.support_size() > 10
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"^canonical key search over 12 support vertices; limit is 10$"):
         canonical_form(g)
 
 
@@ -371,7 +455,7 @@ def test_extension_keys_one_absent_edge_per_pair_of_twin_classes(n):
             for i, j in g.edge_list():
                 nbrs[i].add(j)
                 nbrs[j].add(i)
-            lead = _twin_classes(g)
+            lead = _twin_classes(_adjacency(n, g.edges))
             for u in range(n):
                 for v in range(n):
                     twins = nbrs[u] - {v} == nbrs[v] - {u}
@@ -407,6 +491,17 @@ def test_edge_invariants_are_kept_by_relabeling(n):
             for k, (i, j) in enumerate(pt):
                 if g.edges >> k & 1:
                     assert image[edge_index(n, perm[i], perm[j])] == inv[k], (g, perm, k)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tops_edge_invariant_matches_full_invariant_oracle(n):
+    # Every candidate child of every level: each absent edge picked by
+    # _extension_slots, added to each representative of the level below.
+    for m in range(1, edge_slots(n) + 1):
+        for g in enumerate_graphs(n, m - 1):
+            for k in _extension_slots(g):
+                child = g.edges | 1 << k
+                assert _tops_edge_invariant(n, child, k) == oracle_tops_edge_invariant(n, child, k), (g, k)
 
 
 def test_enumerate_key_calls(monkeypatch):
