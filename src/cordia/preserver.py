@@ -30,17 +30,20 @@ and swaps two variables of the table with one delta swap (Knuth, TAOCP 4A,
 
 Sample mode keeps its own scan, since nearly every sampled bijection fails
 on one of the first graphs it checks.  A bijection keeps edge counts, so only
-edge-count levels of mixed membership can show a mismatch: ``_scan_order``
-lists their graphs level by level, non-members leading, and a failure records
-the first mismatch in that order.  The draws depend on the seed and the
-count, not on the property, so a process keeps its last set of edge maps
-(``_sample_draws``) for the next search.  Those are the maps
-``random.Random(f"{seed}:{i}").sample`` gives, read off one block of twister
-outputs per index, so they cost about what the seedings do.  A search reads
-the slots of each graph it reaches once, and its failures share one
-``Graph`` per distinct counterexample; ``confirmed_failures`` re-decides them
-without the table.  Every search runs in the calling process: a scan costs
-less than starting a worker would.
+edge-count levels of mixed membership can show a mismatch: ``_SampleScan``
+lists each one's graphs with their slots, non-members leading, and builds a
+level the first time a draw reaches it.  A failure records the first
+mismatch in that order.  Membership is isomorphism-invariant, so a vertex
+map passes every level; vertex maps are looked for only among the
+survivors, and their slot maps are built only when something survives.  The
+draws depend on the seed and the count, not on the property, so a process
+keeps its last set of edge maps (``_sample_draws``) for the next search.
+Those are the maps ``random.Random(f"{seed}:{i}").sample`` gives, read off
+one block of twister outputs per index, so they cost about what the seedings
+do.  A count past ``SAMPLE_COUNT_BUDGET`` is refused before any draw is
+made.  A search's failures share one ``Graph`` per distinct counterexample;
+``confirmed_failures`` re-decides them without the table.  Every search runs
+in the calling process: a scan costs less than starting a worker would.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .labeling import GraphProperty, _decide_bits, _level_tables, _require_prope
 
 EXHAUSTIVE_BIJECTION_BUDGET = 4_000_000
 SURVIVOR_BUDGET = 100_000
+SAMPLE_COUNT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -108,11 +112,11 @@ class SearchReport:
 
     candidates_checked counts the edge bijections the mode settles: all
     C(n,2)! in exhaustive mode, the n! vertex maps in vertex-only mode, and
-    the draws in sample mode.  operators holds every survivor.
-    discarded_vertex_induced counts the sample draws skipped as vertex maps;
-    it is 0 in the other modes.  failures holds one SampleFailure per
-    rejected draw in sample mode and per failing vertex map in vertex-only
-    mode; exhaustive mode records none."""
+    the draws in sample mode.  operators holds every survivor, except that
+    sample mode leaves out the draws that are vertex maps and counts them
+    in discarded_vertex_induced, which is 0 in the other modes.  failures
+    holds one SampleFailure per rejected draw in sample mode and per
+    failing vertex map in vertex-only mode; exhaustive mode records none."""
 
     n: int
     property: GraphProperty
@@ -292,21 +296,39 @@ def strongly_preserves(op: LinearOperator, prop: GraphProperty) -> PreserverVerd
     return PreserverVerdict(True, None)
 
 
+class _SampleScan:
+    """Sample mode's scan of one membership table.
+
+    flags[g] is "1" iff graph g is a member.  levels[k] lists the k-th
+    edge-count level of mixed membership as (graph, slots) entries,
+    non-members leading; ``grow`` builds it the first time a draw reaches
+    it, and the first one is built with the scan, since every draw reaches
+    it.  A bijection keeps edge counts, so no graph on a uniform level can
+    change membership under one.  A level's members are bm & E_m over its
+    table E_m from ``_level_tables``."""
+
+    def __init__(self, n: int, prop: GraphProperty) -> None:
+        slots = edge_slots(n)
+        bm = membership_bitmap(n, prop)
+        self.flags = _flags(bm, slots)
+        self._mixed = [(level, bm & level) for level in _mixed_levels(bm, slots)]
+        self.levels: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+        self.grow()  # every draw reaches the first mixed level
+
+    def grow(self) -> bool:
+        """Build the next mixed level's entries; False when none is left."""
+        k = len(self.levels)
+        if k == len(self._mixed):
+            return False
+        level, members = self._mixed[k]
+        order = _set_positions(level ^ members) + _set_positions(members)
+        self.levels.append(tuple((g, tuple(iter_bits(g))) for g in order))
+        return True
+
+
 @lru_cache(maxsize=None)
-def _scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
-    """(flags, order) for sample mode: flags[g] is "1" iff graph g is a member,
-    and order lists the graphs on the edge-count levels of mixed membership,
-    level by level, non-members leading.  A bijection keeps edge counts, so
-    no graph on a uniform level can change membership under one.  A level's
-    members are bm & E_m over its table E_m from ``_level_tables``."""
-    slots = edge_slots(n)
-    bm = membership_bitmap(n, prop)
-    order: list[int] = []
-    for level in _mixed_levels(bm, slots):
-        members = bm & level
-        order.extend(_set_positions(level ^ members))
-        order.extend(_set_positions(members))
-    return _flags(bm, slots), tuple(order)
+def _sample_scan(n: int, prop: GraphProperty) -> _SampleScan:
+    return _SampleScan(n, prop)
 
 
 def _set_positions(table: int) -> list[int]:
@@ -429,33 +451,45 @@ def _search_exhaustive(n: int, prop: GraphProperty) -> SearchReport:
 
 
 def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:
+    # 1 == 1.0 == True, so a non-int would share another seed's kept draws.
+    for name, value in (("count", count), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"sample {name} must be an int, got {value!r}")
     if count < 1:
         raise ValueError("sample count must be positive")
-    flags, order = _scan_order(n, prop)
-    vset = frozenset(_vertex_edge_maps(n))
-    slots_of: dict[int, tuple[int, ...]] = {}  # each graph the scan reaches
+    if count > SAMPLE_COUNT_BUDGET:
+        raise BudgetError(
+            f"sample count {count} requested; sample mode draws at most {SAMPLE_COUNT_BUDGET}"
+        )
+    scan = _sample_scan(n, prop)
+    flags, levels = scan.flags, scan.levels
     graphs: dict[int, Graph] = {}  # each distinct counterexample
-    discarded = 0
-    passing = []
+    survivors = []
     failures = []
     for i, pi in enumerate(_sample_draws(edge_slots(n), seed, count)):
-        if pi in vset:
-            discarded += 1
-            continue
-        for g in order:
-            slots = slots_of.get(g)
-            if slots is None:
-                slots = slots_of[g] = tuple(iter_bits(g))
-            if flags[g] != flags[_map_slots(pi, slots)]:
-                cex = graphs.get(g)
-                if cex is None:
-                    cex = graphs[g] = Graph(n, g)
-                # tuple.__new__ skips the generated __new__ of the named tuple.
-                failures.append(tuple.__new__(SampleFailure, (i, pi, cex)))
-                break
+        # levels gains its next entry when a draw clears the last one built,
+        # and this loop then reads it.
+        for entries in levels:
+            for g, slots in entries:
+                if flags[g] != flags[_map_slots(pi, slots)]:
+                    cex = graphs.get(g)
+                    if cex is None:
+                        cex = graphs[g] = Graph(n, g)
+                    # tuple.__new__ skips the generated __new__ of the named tuple.
+                    failures.append(tuple.__new__(SampleFailure, (i, pi, cex)))
+                    break
+            else:
+                if entries is levels[-1]:
+                    scan.grow()
+                continue
+            break
         else:
-            passing.append(pi)
+            survivors.append(pi)
+    # Membership is isomorphism-invariant, so every vertex map survives.
+    vset = frozenset(_vertex_edge_maps(n)) if survivors else frozenset()
+    passing = [pi for pi in survivors if pi not in vset]
     ops = tuple(_operator_from_edge_map(n, pi) for pi in passing)
+    discarded = len(survivors) - len(passing)
     return SearchReport(n, prop, "sample", count, ops, discarded, tuple(failures))
 
 
@@ -510,22 +544,27 @@ def search_strong_preservers(
     - "vertex-only" verifies all n! vertex permutations against the
       membership table, survivors in lexicographic order of the vertex
       permutations.
-    - "sample" draws `count` seeded random edge bijections, discards the
-      vertex-induced ones, and records for every failure the first mismatch
-      in the scan order of ``_scan_order``, which need not be the least one.
-      The scan covers only the edge-count levels of mixed membership, the
-      only ones a bijection can change.  The draws do not depend on the
-      property, so a process keeps the last set for the next search with
-      the same n, seed and count.
+    - "sample" draws `count` seeded random edge bijections and records for
+      every failure the first mismatch in the scan order of
+      ``_SampleScan``, which need not be the least one.  The scan covers
+      only the edge-count levels of mixed membership, the only ones a
+      bijection can change, and builds each level the first time a draw
+      reaches it.  A vertex map passes every level, so the vertex-induced
+      draws are found among the survivors and discarded there.  The draws
+      do not depend on the property, so a process keeps the last set for
+      the next search with the same n, seed and count.
 
     Only sample mode reads `count` and `seed`; n < 0, a negative count and
     a prop that is not a GraphProperty member are usage errors (ValueError)
-    in every mode.  Vertex-only and sample modes read the membership table
-    before they build any edge map, so its refusal of n > 6 (BudgetError)
-    is theirs.  Every mode runs in the calling process.  `workers` is
-    checked (at least 1) and has no effect; it stays only because the
-    traced sample runs of `perfbench/worker.py` pass workers=2, and goes at
-    the next change to the benchmark.
+    in every mode.  In sample mode a count or seed that is not an int (a
+    bool included: 1 == 1.0 == True) is a ValueError too, and a count above
+    SAMPLE_COUNT_BUDGET is a BudgetError; both are raised before any table
+    is read or any edge map drawn.  Vertex-only and sample modes read the
+    membership table before they build any edge map, so its refusal of
+    n > 6 (BudgetError) is theirs.  Every mode runs in the calling process.
+    `workers` is checked (at least 1) and has no effect; it stays only
+    because the traced sample runs of `perfbench/worker.py` pass workers=2,
+    and goes at the next change to the benchmark.
     """
     _require_property(prop)
     if n < 0:

@@ -704,8 +704,9 @@ def oracle_edge_count_determined(bm: int, slots: int) -> bool:
 
 
 def oracle_scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
-    """_scan_order(n, prop), every nonempty graph sorted into its edge-count
-    level one at a time; mixed levels kept, non-members leading."""
+    """Sample mode's (flags, scan order): its mixed levels' graphs, the levels
+    concatenated.  Every nonempty graph is sorted into its edge-count level
+    one at a time; mixed levels kept, non-members leading."""
     slots = edge_slots(n)
     flags = format(membership_bitmap(n, prop), f"0{1 << slots}b")[::-1]
     levels: dict[int, tuple[list[int], list[int]]] = {}

@@ -333,6 +333,18 @@ def test_vertex_only_refusal_ignores_the_count(capsys):
     assert json.loads(default)["error"]["kind"] == "budget"
 
 
+def test_sample_count_past_the_budget_is_refused(capsys):
+    code, payload = invoke(
+        capsys, "preservers", "--property", "sum", "--n", "6", "--mode", "sample",
+        "--count", "1000001",
+    )
+    assert code == 3
+    assert payload["error"] == {
+        "kind": "budget",
+        "message": "sample count 1000001 requested; sample mode draws at most 1000000",
+    }
+
+
 def test_preservers_negative_count_is_a_usage_error(capsys):
     assert_usage_error(capsys, "--n", "7", "--mode", "vertex-only", "--count", "-5")
 

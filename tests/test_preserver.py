@@ -57,12 +57,14 @@ from conftest import (
 )
 from cordia.graphs import pair_table
 from cordia.preserver import (
+    SAMPLE_COUNT_BUDGET,
     SampleFailure,
     _mixed_levels,
     _operator_from_edge_map,
     _pruned_bijections,
     _sample_draws,
-    _scan_order,
+    _sample_scan,
+    _SampleScan,
     _vertex_edge_maps,
     confirmed_failures,
 )
@@ -663,11 +665,25 @@ def test_sample_failures_share_draws_and_counterexample_graphs():
     assert len(graphs) < len(report.failures)
 
 
+def scan_order(n, prop):
+    """(flags, order) of a fresh scan with every mixed level built, order the
+    concatenated per-level graphs; each entry's slots are checked too."""
+    scan = _SampleScan(n, prop)
+    while scan.grow():
+        pass
+    order = []
+    for entries in scan.levels:
+        for g, slots in entries:
+            assert slots == tuple(k for k in range(edge_slots(n)) if g >> k & 1)
+            order.append(g)
+    return scan.flags, tuple(order)
+
+
 @pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
 @pytest.mark.parametrize("n", range(0, 7))
 def test_scan_order_is_the_mixed_prefix_of_the_full_scan(n, prop):
     bm = membership_bitmap(n, prop)
-    flags, order = _scan_order(n, prop)
+    flags, order = scan_order(n, prop)
     assert flags == "".join(str(bm >> g & 1) for g in range(1 << edge_slots(n)))
     full = [g for g, _ in _scan_pairs(n, prop)]
     assert tuple(full[: len(order)]) == order
@@ -681,12 +697,12 @@ def test_scan_order_is_the_mixed_prefix_of_the_full_scan(n, prop):
 @pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
 @pytest.mark.parametrize("n", range(0, 7))
 def test_scan_order_matches_graph_by_graph_oracle(n, prop):
-    assert _scan_order(n, prop) == oracle_scan_order(n, prop)
+    assert scan_order(n, prop) == oracle_scan_order(n, prop)
 
 
 def test_scan_order_levels_at_six():
     levels = {
-        prop: sorted({g.bit_count() for g in _scan_order(6, prop)[1]}) for prop in GraphProperty
+        prop: sorted({g.bit_count() for g in scan_order(6, prop)[1]}) for prop in GraphProperty
     }
     assert levels == {
         GraphProperty.SUM: [2, 4, 6, 8, 10, 12],
@@ -694,7 +710,79 @@ def test_scan_order_levels_at_six():
         GraphProperty.ORIENT23: [3, 6, 9, 12],
     }
     for n in range(6):
-        assert _scan_order(n, GraphProperty.ORIENT23)[1] == ()
+        assert scan_order(n, GraphProperty.ORIENT23)[1] == ()
+
+
+def test_sample_search_builds_only_the_levels_its_draws_reach(monkeypatch):
+    # At the benchmark's scale every draw fails on its first mixed level,
+    # and no draw survives, so no vertex map is built.
+    def no_maps(n):
+        raise AssertionError(f"vertex maps built at n={n}")
+
+    monkeypatch.setattr(preserver_module, "_vertex_edge_maps", no_maps)
+    _sample_scan.cache_clear()
+    sizes = {}
+    for prop in GraphProperty:
+        report = search_strong_preservers(6, prop, "sample", count=20_000, seed=1)
+        assert (len(report.failures), report.discarded_vertex_induced, report.operators) == (
+            20_000, 0, ()
+        )
+        sizes[prop] = [len(entries) for entries in _sample_scan(6, prop).levels]
+    assert sizes == {
+        GraphProperty.SUM: [105],
+        GraphProperty.PRODUCT: [1365],
+        GraphProperty.ORIENT23: [455],
+    }
+
+
+@pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
+def test_sample_mode_at_three_discards_every_draw(prop):
+    # All 3! edge bijections at n=3 are vertex maps.
+    report = search_strong_preservers(3, prop, "sample", count=50, seed=4)
+    assert report.discarded_vertex_induced == report.candidates_checked == 50
+    assert (report.operators, report.failures) == ((), ())
+    assert report == oracle_sample_report(3, prop, 50, 4)
+
+
+def test_sample_mode_tells_vertex_maps_from_other_survivors():
+    report = search_strong_preservers(4, GraphProperty.SUM, "sample", count=300, seed=0)
+    assert report == oracle_sample_report(4, GraphProperty.SUM, 300, 0)
+    assert report.discarded_vertex_induced == 10
+    assert len(report.operators) == 9
+    assert not any(is_vertex_permutation(op) for op in report.operators)
+    assert len(report.failures) == 281
+
+
+def refuse_tables_and_draws(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table or a draw was built")
+
+    for name in ("membership_bitmap", "_sample_scan", "_sample_draws"):
+        monkeypatch.setattr(preserver_module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "count, seed",
+    [(50, 1.0), (50, True), (50, "1"), (50, None), (True, 1), (2.5, 1), ("50", 1), (50.0, 1)],
+)
+def test_sample_count_and_seed_must_be_ints(monkeypatch, count, seed):
+    # 1 == 1.0 == True with equal hashes, so seed=1.0 once read seed 1's
+    # kept draws after a seed-1 search.
+    search_strong_preservers(4, GraphProperty.SUM, "sample", count=50, seed=1)
+    refuse_tables_and_draws(monkeypatch)
+    with pytest.raises(ValueError, match="must be an int"):
+        search_strong_preservers(4, GraphProperty.SUM, "sample", count=count, seed=seed)
+
+
+def test_sample_count_budget(monkeypatch):
+    refuse_tables_and_draws(monkeypatch)
+    over = SAMPLE_COUNT_BUDGET + 1
+    with pytest.raises(BudgetError) as info:
+        search_strong_preservers(6, GraphProperty.SUM, "sample", count=over, seed=0)
+    assert str(info.value) == (
+        f"sample count {over} requested; sample mode draws at most {SAMPLE_COUNT_BUDGET}"
+    )
+    assert SAMPLE_COUNT_BUDGET == 1_000_000
 
 
 def test_sample_mode_starts_no_process(monkeypatch):
