@@ -422,7 +422,10 @@ def _tops_edge_invariant(n: int, bits: int, k: int) -> bool:
 
 
 def _check_level(n: int, m: int) -> None:
-    """The refusals of enumeration level (n, m), raised before any work."""
+    """The refusals of enumeration level (n, m), raised before any work; an n
+    or m that is not an int (a bool included) is one, lest it read a cached level."""
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"vertex and edge counts must be ints, got n={n!r}, m={m!r}")
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if n > MAX_ENUMERATION_VERTICES:
@@ -435,7 +438,7 @@ def _check_level(n: int, m: int) -> None:
         raise BudgetError(f"level (n={n}, m={m}) has {subsets} subsets; budget is {SUBSET_BUDGET}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class with m edges on at most n vertices.
 

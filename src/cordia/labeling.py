@@ -28,7 +28,11 @@ graph or of a whole table, in two layouts:
 - whole tables (``membership_bitmap``, one bit per graph on n vertices up to
   MEMBERSHIP_VERTEX_LIMIT) decide no graph on their own: a bit-sliced sum of
   edge variables (Knuth, TAOCP 4A, 7.1.3) counts each probed edge set in
-  every graph at once.
+  every graph at once.  They loop over label sets, not supports, by a lemma:
+  L is friendly on a support S exactly when L is within S and |S| is 2|L| - 1,
+  2|L| or 2|L| + 1.  Proof: |L| must lie in _label_columns' window
+  [s // 2, s // 2 + 1 + s % 2), s = |S|.  For even s that is {s / 2}, so
+  s = 2|L|; for odd s it is {(s - 1) / 2, (s + 1) / 2}, so s = 2|L| +- 1.
 """
 
 from __future__ import annotations
@@ -125,20 +129,6 @@ def _label_columns(s: int) -> tuple[int, ...]:
 def _lane_count(s: int) -> int:
     """Friendly label sets over s positions: C(s, s // 2), twice for odd s."""
     return comb(s, s // 2) << (s & 1)
-
-
-def _lane_labels(cols: tuple[int, ...], positions: list[int], i: int) -> int:
-    """Entry i of the label columns, put on the support positions."""
-    return sum(1 << p for col, p in zip(cols, positions) if col >> i & 1)
-
-
-@lru_cache(maxsize=None)
-def _friendly_label_bits(mask: int) -> tuple[int, ...]:
-    """All friendly label bitsets over the vertices in mask, ascending: the
-    entries of _label_columns put on mask."""
-    positions = list(iter_bits(mask))
-    cols = _label_columns(len(positions))
-    return tuple(_lane_labels(cols, positions, i) for i in range(_lane_count(len(positions))))
 
 
 def _probed_edges(n: int, labels: int, prop: GraphProperty) -> int:
@@ -307,8 +297,9 @@ def _check(g: Graph, prop: GraphProperty, support: int) -> Verdict:
     lanes = _lane_count(len(positions))
     if not hits:
         return Verdict(False, None, None, lanes)
-    # The lanes ascend, and putting entries on the support keeps their order.
-    best = _lane_labels(cols, positions, (hits & -hits).bit_length() - 1)
+    # The lanes ascend, and putting labels on the support keeps their order.
+    lane = (hits & -hits).bit_length() - 1
+    best = sum(1 << p for col, p in zip(cols, positions) if col >> lane & 1)
     orientation = _witness_orientation(g, best) if prop is _ORIENT23 else None
     return Verdict(True, VertexLabeling(best, support), orientation, lanes)
 
@@ -359,17 +350,23 @@ def _level_tables(slots: int) -> tuple[int, ...]:
     return tuple(_lanes_counting(planes, 1 << m, full) for m in range(slots + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def membership_bitmap(n: int, prop: GraphProperty) -> int:
     """Bit g set iff Graph(n, g) satisfies prop; the edgeless graph is a non-member.
 
     A graph with support S is a member when some friendly label set L of S
-    puts a passing count of its edges in _probed_edges(n, L, prop).  The pass
-    table of a probed edge set marks the graphs where its count, summed
-    bit-sliced over its edge variables, passes at the graph's edge count;
-    label sets with the same probed edges share one.  The table is the OR
-    over supports S of [support(g) = S] AND the OR of S's pass tables."""
+    puts a passing count of its edges in _probed_edges(n, L, prop).  L is
+    friendly on S exactly when L is within S and |S| is 2|L| - 1, 2|L| or
+    2|L| + 1, since |L| lies in [s // 2, s // 2 + 1 + s % 2), s = |S|: that
+    is {s / 2} for even s and {(s - 1) / 2, (s + 1) / 2} for odd s.  So the
+    table ORs over nonempty L the AND of L's cover tables, the graphs whose
+    support size (one bit-sliced sum of the cover tables) fits L, and L's
+    pass table: the graphs whose probed count, summed bit-sliced over its
+    edge variables, passes at their edge count.  Equal probed edges share a
+    pass table; a size no graph fits builds none.  n is an int, not a bool."""
     _require_property(prop)
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MEMBERSHIP_VERTEX_LIMIT:
@@ -384,9 +381,23 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     for m, level in enumerate(_level_tables(slots)):
         for c in iter_bits(_passing(prop, m)):
             within[c] |= level
+    # cover[v]: the graphs in which vertex v has an edge.
+    cover = [0] * n
+    for v, inc in enumerate(incident_masks(n)):
+        for k in iter_bits(inc):
+            cover[v] |= var[k]
+    # window[s - 1]: the graphs whose support has 2s - 1, 2s or 2s + 1 vertices.
+    sizes = _sliced_sum(cover)
+    window = [_lanes_counting(sizes, 0b111 << 2 * s - 1, full) for s in range(1, n + 1)]
     passes: dict[int, int] = {}
-
-    def pass_table(probed: int) -> int:
+    bitmap = 0
+    for labels in range(1, 1 << n):
+        on = window[labels.bit_count() - 1]
+        if not on:
+            continue
+        for v in iter_bits(labels):
+            on &= cover[v]
+        probed = _probed_edges(n, labels, prop)
         table = passes.get(probed)
         if table is None:
             planes = _sliced_sum(var[k] for k in iter_bits(probed))
@@ -395,21 +406,5 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
                 if ok:
                     table |= _lanes_counting(planes, 1 << c, full) & ok
             passes[probed] = table
-        return table
-
-    cover = [0] * n
-    for v, inc in enumerate(incident_masks(n)):
-        for k in iter_bits(inc):
-            cover[v] |= var[k]
-    bitmap = 0
-    for support in range(1 << n):
-        if support.bit_count() < 2:
-            continue  # the edgeless graph, and no graph has one vertex of support
-        on = full
-        for v in range(n):
-            on &= cover[v] if support >> v & 1 else ~cover[v]
-        friendly = 0
-        for labels in _friendly_label_bits(support):
-            friendly |= pass_table(_probed_edges(n, labels, prop))
-        bitmap |= on & friendly
+        bitmap |= on & table
     return bitmap

@@ -451,10 +451,6 @@ def _search_exhaustive(n: int, prop: GraphProperty) -> SearchReport:
 
 
 def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> SearchReport:
-    # 1 == 1.0 == True, so a non-int would share another seed's kept draws.
-    for name, value in (("count", count), ("seed", seed)):
-        if type(value) is not int:
-            raise ValueError(f"sample {name} must be an int, got {value!r}")
     if count < 1:
         raise ValueError("sample count must be positive")
     if count > SAMPLE_COUNT_BUDGET:
@@ -554,11 +550,12 @@ def search_strong_preservers(
       do not depend on the property, so a process keeps the last set for
       the next search with the same n, seed and count.
 
-    Only sample mode reads `count` and `seed`; n < 0, a negative count and
-    a prop that is not a GraphProperty member are usage errors (ValueError)
-    in every mode.  In sample mode a count or seed that is not an int (a
-    bool included: 1 == 1.0 == True) is a ValueError too, and a count above
-    SAMPLE_COUNT_BUDGET is a BudgetError; both are raised before any table
+    Only sample mode reads `count` and `seed`, but every mode checks them:
+    an n, count or seed that is not an int (a bool included: 1 == 1.0 ==
+    True; count may be None), n < 0, a negative count and a prop that is not
+    a GraphProperty member are usage errors (ValueError).  In sample mode a
+    count below 1 is a ValueError too, and a count above
+    SAMPLE_COUNT_BUDGET is a BudgetError; all are raised before any table
     is read or any edge map drawn.  Vertex-only and sample modes read the
     membership table before they build any edge map, so its refusal of
     n > 6 (BudgetError) is theirs.  Every mode runs in the calling process.
@@ -567,6 +564,10 @@ def search_strong_preservers(
     and goes at the next change to the benchmark.
     """
     _require_property(prop)
+    # 1 == 1.0 == True: a non-int would share another n's table or seed's draws.
+    for name, value in (("vertex count", n), ("count", count), ("seed", seed)):
+        if type(value) is not int and not (name == "count" and value is None):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if workers < 1:

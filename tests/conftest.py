@@ -34,7 +34,10 @@ that level-by-level extension replaced; it takes its keys from
 ``_canonical_key_bits``, which is tested against the former.  The extension
 oracle adds every absent edge to every representative of the level below,
 the loop that one edge per pair of twin classes replaced.  The
-friendly-table oracle is the Gosper iteration that Pascal's rule replaced.  The
+friendly-table oracle is the Gosper iteration that Pascal's rule replaced;
+``column_label_bits`` puts the ``_label_columns`` entries on a mask, the
+friendly sets per support that the membership table read before it looped
+over label sets, and is tested against the Gosper oracle.  The
 empirical-maximum oracle is the labeled-subset walk that the scan over
 isomorphism classes replaced; it decides with ``oracle_decide_scan``, so it
 checks the route through the classes and the least-key witness against a
@@ -94,8 +97,9 @@ from cordia.labeling import (
     _PRODUCT,
     Verdict,
     VertexLabeling,
-    _friendly_label_bits,
+    _label_columns,
     _labeling_mask,
+    _lane_count,
     _passing,
     _witness_orientation,
 )
@@ -374,7 +378,7 @@ def oracle_23_orientable(g: Graph, ambient_friendly: bool = False) -> Verdict:
     if m > ORACLE_EDGE_LIMIT:
         raise BudgetError(f"oracle walks 2^m orientations; m={m} exceeds {ORACLE_EDGE_LIMIT}")
     mask = _labeling_mask(g, ambient_friendly)
-    labs = _friendly_label_bits(mask)
+    labs = oracle_friendly_label_bits(mask)
     pairs = g.edge_list()
     valid = _balanced_triples(m)
     half = m // 2
@@ -579,6 +583,17 @@ def oracle_extend_level(n: int, m: int) -> tuple[Graph, ...]:
         if not g.edges >> k & 1
     }
     return tuple(canonical_representative(key, n) for key in sorted(keys))
+
+
+def column_label_bits(mask: int) -> tuple[int, ...]:
+    """Friendly label bitsets over the vertices in mask, ascending: the
+    entries of _label_columns put on mask."""
+    positions = list(iter_bits(mask))
+    cols = _label_columns(len(positions))
+    return tuple(
+        sum(1 << p for col, p in zip(cols, positions) if col >> i & 1)
+        for i in range(_lane_count(len(positions)))
+    )
 
 
 def oracle_friendly_label_bits(mask: int) -> tuple[int, ...]:

@@ -541,6 +541,18 @@ def test_enumerate_three_edge_classes():
         assert not brute_isomorphic(a, b)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("n, m", [(5.0, 3), (5, 3.0), (True, 0), (2, True)])
+def test_enumerate_counts_must_be_ints(warm, n, m):
+    # 5 == 5.0 and 1 == True with equal hashes, so an untyped cache once
+    # answered them with the int level after it had been built.
+    enumerate_graphs.cache_clear()
+    if warm:
+        enumerate_graphs(int(n), int(m))
+    with pytest.raises(ValueError, match="vertex and edge counts must be ints"):
+        enumerate_graphs(n, m)
+
+
 def test_enumerate_budget():
     with pytest.raises(BudgetError):
         enumerate_graphs(10, 3)

@@ -39,7 +39,6 @@ from cordia.graphs import MAX_VERTICES, iter_bits
 from cordia.labeling import (
     _check,
     _decide_bits,
-    _friendly_label_bits,
     _label_columns,
     _labeling_mask,
     _passing,
@@ -55,6 +54,7 @@ from conftest import (
     brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    column_label_bits,
     k_friendly,
     oracle_23_orientable,
     oracle_check_scan,
@@ -74,7 +74,7 @@ def test_friendly_labeling_count(tag):
     s = g.support_size()
     expected = comb(s, s // 2) if s % 2 == 0 else 2 * comb(s, s // 2)
     support_mask = g.support_mask()
-    labs = _friendly_label_bits(support_mask)
+    labs = column_label_bits(support_mask)
     assert len(labs) == expected
     for lab in labs:
         assert lab & ~support_mask == 0
@@ -85,7 +85,7 @@ def test_friendly_labeling_count(tag):
 @pytest.mark.parametrize("tag", ["2k2", "triangle", "3k2", "paw"])
 def test_friendly_labelings_match_brute(tag):
     g = named(tag)
-    got = set(_friendly_label_bits(g.support_mask()))
+    got = set(column_label_bits(g.support_mask()))
     want = set()
     for assign in brute_friendly_labelings(g):
         want.add(sum(1 << v for v, bit in assign.items() if bit))
@@ -94,8 +94,8 @@ def test_friendly_labelings_match_brute(tag):
 
 def test_ambient_friendly_balances_over_all_vertices():
     g = make_graph(5, [(0, 1)])  # three isolated vertices
-    plain = set(_friendly_label_bits(g.support_mask()))
-    ambient = set(_friendly_label_bits((1 << g.n) - 1))
+    plain = set(column_label_bits(g.support_mask()))
+    ambient = set(column_label_bits((1 << g.n) - 1))
     assert plain == {0b01, 0b10}
     # 5 vertices, 2 or 3 ones
     assert len(ambient) == comb(5, 2) + comb(5, 3)
@@ -319,7 +319,7 @@ def test_witness_is_smallest_feasible_label_bitset():
             if not verdict.decision:
                 continue
             feasible = []
-            for labels in _friendly_label_bits(g.support_mask()):
+            for labels in column_label_bits(g.support_mask()):
                 lab = VertexLabeling(labels, g.support_mask())
                 if prop is GraphProperty.ORIENT23:
                     d = induced_edge_counts(g, lab, GraphProperty.SUM)[1]
@@ -527,20 +527,31 @@ def test_a_property_that_is_no_member_is_a_value_error(entry, bad):
 @pytest.mark.parametrize("s", range(MAX_VERTICES + 1))
 def test_friendly_label_bits_match_gosper_oracle_on_full_masks(s):
     mask = (1 << s) - 1
-    assert _friendly_label_bits(mask) == oracle_friendly_label_bits(mask)
+    assert column_label_bits(mask) == oracle_friendly_label_bits(mask)
 
 
 def test_friendly_label_bits_match_gosper_oracle_on_seeded_masks():
     rng = random.Random(9)
     for _ in range(200):
         mask = rng.getrandbits(MAX_VERTICES)
-        assert _friendly_label_bits(mask) == oracle_friendly_label_bits(mask), mask
+        assert column_label_bits(mask) == oracle_friendly_label_bits(mask), mask
+
+
+def test_friendly_label_sets_are_the_subsets_in_the_support_size_window():
+    # The lemma membership_bitmap loops over label sets by: L is friendly on
+    # S exactly when L is within S and |S| is 2|L| - 1, 2|L| or 2|L| + 1.
+    for support in range(1 << 8):
+        friendly = set(oracle_friendly_label_bits(support))
+        s = support.bit_count()
+        for labels in range(1 << 8):
+            lemma = labels & ~support == 0 and abs(s - 2 * labels.bit_count()) <= 1
+            assert (labels in friendly) == lemma, (support, labels)
 
 
 def test_friendly_label_bits_ordering_is_stable():
-    # Cached and relied on for witness minimality: ascending, both popcount
-    # classes interleaved for odd supports.
-    labs = _friendly_label_bits(0b111)
+    # Relied on for witness minimality: ascending, both popcount classes
+    # interleaved for odd supports.
+    labs = column_label_bits(0b111)
     assert labs == (0b001, 0b010, 0b011, 0b100, 0b101, 0b110)
 
 

@@ -281,8 +281,9 @@ def test_membership_bitmap_makes_no_per_graph_decision(monkeypatch):
 
 def test_membership_bitmap_builds_one_pass_table_per_probed_edge_set(monkeypatch):
     # A cold n=6 build keys its pass tables by the edges _probed_edges names
-    # for each friendly label set of each support: one pass table (one
-    # _sliced_sum, the level tables being warm) per distinct probed edge set.
+    # for each label set whose support-size window holds a graph: one pass
+    # table (one _sliced_sum, the level tables being warm) per distinct
+    # probed edge set, and one more _sliced_sum for the support sizes.
     real_sum = labeling_module._sliced_sum
     real_probed = labeling_module._probed_edges
     sums = []
@@ -306,8 +307,8 @@ def test_membership_bitmap_builds_one_pass_table_per_probed_edge_set(monkeypatch
         sums.clear()
         probed.clear()
         assert membership_bitmap(6, prop).bit_count() == MEMBER_COUNTS[6][prop]
-        assert len(sums) == len(probed), prop
-        pass_tables[prop.value] = len(sums)
+        assert len(sums) == len(probed) + 1, prop
+        pass_tables[prop.value] = len(probed)
     assert pass_tables == {"sum": 31, "product": 36, "orient23": 31}
 
 
@@ -350,6 +351,18 @@ def test_membership_bitmap_capped():
 def test_membership_bitmap_rejects_negative_n():
     with pytest.raises(ValueError):
         membership_bitmap(-2, GraphProperty.SUM)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("n", [4.0, True])
+def test_membership_bitmap_vertex_count_must_be_an_int(warm, n):
+    # 4 == 4.0 and 1 == True with equal hashes, so an untyped cache once
+    # answered them with the int's table after the int had been asked.
+    membership_bitmap.cache_clear()
+    if warm:
+        membership_bitmap(int(n), GraphProperty.SUM)
+    with pytest.raises(ValueError, match="vertex count must be an int"):
+        membership_bitmap(n, GraphProperty.SUM)
 
 
 # ---------------------------------------------------------- strong preservation
@@ -761,10 +774,10 @@ def refuse_tables_and_draws(monkeypatch):
         monkeypatch.setattr(preserver_module, name, refuse)
 
 
-@pytest.mark.parametrize(
-    "count, seed",
-    [(50, 1.0), (50, True), (50, "1"), (50, None), (True, 1), (2.5, 1), ("50", 1), (50.0, 1)],
-)
+BAD_COUNT_SEED = [(50, 1.0), (50, True), (50, "1"), (50, None), (True, 1), (2.5, 1), ("50", 1), (50.0, 1)]
+
+
+@pytest.mark.parametrize("count, seed", BAD_COUNT_SEED)
 def test_sample_count_and_seed_must_be_ints(monkeypatch, count, seed):
     # 1 == 1.0 == True with equal hashes, so seed=1.0 once read seed 1's
     # kept draws after a seed-1 search.
@@ -772,6 +785,33 @@ def test_sample_count_and_seed_must_be_ints(monkeypatch, count, seed):
     refuse_tables_and_draws(monkeypatch)
     with pytest.raises(ValueError, match="must be an int"):
         search_strong_preservers(4, GraphProperty.SUM, "sample", count=count, seed=seed)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("mode", ["exhaustive", "vertex-only", "sample"])
+@pytest.mark.parametrize("n", [4.0, True])
+def test_search_vertex_count_must_be_an_int(monkeypatch, warm, mode, n):
+    if warm:
+        search_strong_preservers(int(n), GraphProperty.SUM, mode, count=50, seed=1)
+    refuse_tables_and_draws(monkeypatch)
+    with pytest.raises(ValueError, match="vertex count must be an int"):
+        search_strong_preservers(n, GraphProperty.SUM, mode, count=50, seed=1)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "vertex-only"])
+@pytest.mark.parametrize("count, seed", BAD_COUNT_SEED)
+def test_count_and_seed_must_be_ints_in_every_mode(monkeypatch, mode, count, seed):
+    # Only sample mode reads them, but every mode holds them to one rule.
+    refuse_tables_and_draws(monkeypatch)
+    with pytest.raises(ValueError, match="must be an int"):
+        search_strong_preservers(4, GraphProperty.SUM, mode, count=count, seed=seed)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "vertex-only"])
+def test_unread_count_and_seed_leave_the_report_unchanged(mode):
+    want = search_strong_preservers(4, GraphProperty.SUM, mode)
+    for count, seed in [(None, 0), (0, 7), (5, -3)]:
+        assert search_strong_preservers(4, GraphProperty.SUM, mode, count=count, seed=seed) == want
 
 
 def test_sample_count_budget(monkeypatch):
