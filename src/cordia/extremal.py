@@ -7,7 +7,9 @@ isomorphism classes per edge count, both deciding classes from graphs.py and
 refused only by its enumeration limits.  Two of the stated bounds are not
 upper bounds: the empirical product maximum exceeds the stated product bound
 by one at every n in 4..7, and the orientability maximum exceeds the closed
-form by one at n=7, 8 and 9 (see bound_23_orientable).
+form by one at n=7, 8 and 9 (see bound_23_orientable).  Every entry point
+refuses a vertex count or edge cap that is not an int (a bool included)
+with a ValueError before any work.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, _canonical_key_bits, _check_level, _edge_count_classes
+from .graphs import Graph, _canonical_key_bits, _check_level, _edge_count_classes, _require_int
 from .graphs import canonical_representative, edge_slots, enumerate_graphs
 from .labeling import GraphProperty, _decide_bits, _require_property
 
@@ -35,6 +37,7 @@ class BoundReport:
 
 def bound_sum_cordial(n: int) -> int:
     """Largest edge count a sum-cordial graph on n vertices can have."""
+    _require_int("vertex count", n)
     if n < 4:
         raise ValueError("the closed form needs n >= 4")
     k = n // 2
@@ -47,6 +50,7 @@ def bound_product_cordial(n: int) -> tuple[int, int]:
     The two differ by one; small cases decide between them empirically, so
     both are reported everywhere.
     """
+    _require_int("vertex count", n)
     if n < 4:
         raise ValueError("the closed form needs n >= 4")
     c = (n + 1) // 2
@@ -62,6 +66,7 @@ def bound_23_orientable(n: int) -> int:
     is even (n not 2 mod 4) the true maximum is one above this value; the
     first such case is n=7, where a 19-edge graph is orientable.
     """
+    _require_int("vertex count", n)
     if n < 6:
         raise ValueError("the closed form needs n >= 6")
     d = comb(n, 2) - comb((n + 1) // 2, 2) - comb(n // 2, 2)
@@ -100,6 +105,7 @@ def empirical_max_edges(prop: GraphProperty, n: int) -> tuple[int, Graph]:
     refusals, and each level meets them before any decision.
     """
     _require_property(prop)
+    _require_int("vertex count", n)
     if n < 2:
         raise ValueError("need at least one potential edge")
     for m in range(edge_slots(n), 0, -1):
@@ -136,6 +142,7 @@ def minimal_noncordial(prop: GraphProperty, edge_cap: int) -> list[tuple[int, Gr
     """Failing isomorphism classes per edge count, for all m up to edge_cap;
     a cap beyond the enumeration limits is refused before any decision."""
     _require_property(prop)
+    _require_int("edge cap", edge_cap)
     if edge_cap < 1:
         raise ValueError("edge cap must be positive")
     _edge_count_classes(edge_cap)

@@ -5,13 +5,13 @@ k-th unordered pair (i, j) with i < j, pairs taken in lexicographic order.
 That keeps union, complement and membership at machine speed and makes every
 value hashable and immutable.  ``_map_slots`` is the one map of an edge
 bitset through a slot map, and ``_edge_variable`` the truth table of one
-edge over all graphs.  The canonical form of a graph is its least edge
-bitset over all orderings of its non-isolated vertices, found by a
-row-by-row search that keeps only the least partial orderings and places
-one member of each twin class at a time (twins tie and swapping them is an
-automorphism, the pruning of McKay, "Practical graph isomorphism", Congr.
-Numer. 30, 1981, restricted to twin swaps); it is available while that
-support is small (at most 10 vertices).
+edge over all graphs, built by doubling one period.  The canonical form of
+a graph is its least edge bitset over all orderings of its non-isolated
+vertices, found by a row-by-row search that keeps only the least partial
+orderings and places one member of each twin class at a time (twins tie
+and swapping them is an automorphism, the pruning of McKay, "Practical
+graph isomorphism", Congr. Numer. 30, 1981, restricted to twin swaps); it
+is available while that support is small (at most 10 vertices).
 
 Isomorphism classes are enumerated level by level: each class with m edges
 comes from a class with m - 1 edges plus one absent edge.  Two vertices are
@@ -90,10 +90,19 @@ def _map_slots(slot_map: tuple[int, ...], slots: Iterable[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _edge_variable(slots: int, k: int) -> int:
-    """Truth table of edge variable k over the graphs g < 2^slots: blocks of
-    2^k clear then 2^k set positions, exactly the g with bit k set."""
+    """Truth table of edge variable k < slots over the graphs g < 2^slots:
+    blocks of 2^k clear then 2^k set positions, exactly the g with bit k set.
+
+    Built by doubling: one period, 2^k clear bits then 2^k set bits, is
+    copied next to itself (x |= x << period, the period doubling each time)
+    until it fills the 2^slots positions, slots - k - 1 shifts in all."""
     width = 1 << k
-    return ((1 << (1 << slots)) - 1) // ((1 << width) + 1) << width
+    x = ((1 << width) - 1) << width
+    period, size = width << 1, 1 << slots
+    while period < size:
+        x |= x << period
+        period <<= 1
+    return x
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -142,7 +151,12 @@ class Graph:
     edges: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_VERTICES:
+        # A Graph is built per parsed graph and per operator image, so the
+        # helper is called only to name the field that is not an int.
+        if type(self.n) is not int or type(self.edges) is not int:
+            _require_int("vertex count", self.n)
+            _require_int("edge bitset", self.edges)
+        if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n!r}")
         if not 0 <= self.edges < 1 << edge_slots(self.n):
             raise ValueError(f"edge bitset out of range for n={self.n}")
@@ -421,11 +435,20 @@ def _tops_edge_invariant(n: int, bits: int, k: int) -> bool:
     return inv[k] == max(inv.values())
 
 
+def _require_int(name: str, value: object) -> None:
+    """A size, count or seed that is not an int is a usage error
+    (ValueError), a bool included: 1 == 1.0 == True with equal hashes, so
+    such a value would share an int's cache entry, and a float would fail
+    later as a TypeError or give a float answer."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_level(n: int, m: int) -> None:
     """The refusals of enumeration level (n, m), raised before any work; an n
-    or m that is not an int (a bool included) is one, lest it read a cached level."""
-    if type(n) is not int or type(m) is not int:
-        raise ValueError(f"vertex and edge counts must be ints, got n={n!r}, m={m!r}")
+    or m that is not an int is one, lest it read a cached level."""
+    _require_int("vertex count", n)
+    _require_int("edge count", m)
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if n > MAX_ENUMERATION_VERTICES:

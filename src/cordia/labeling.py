@@ -26,13 +26,19 @@ graph or of a whole table, in two layouts:
   labeling passes, and a witness search reads the least one off the bitset
   of the labelings that pass;
 - whole tables (``membership_bitmap``, one bit per graph on n vertices up to
-  MEMBERSHIP_VERTEX_LIMIT) decide no graph on their own: a bit-sliced sum of
-  edge variables (Knuth, TAOCP 4A, 7.1.3) counts each probed edge set in
-  every graph at once.  They loop over label sets, not supports, by a lemma:
-  L is friendly on a support S exactly when L is within S and |S| is 2|L| - 1,
-  2|L| or 2|L| + 1.  Proof: |L| must lie in _label_columns' window
-  [s // 2, s // 2 + 1 + s % 2), s = |S|.  For even s that is {s / 2}, so
-  s = 2|L|; for odd s it is {(s - 1) / 2, (s + 1) / 2}, so s = 2|L| +- 1.
+  MEMBERSHIP_VERTEX_LIMIT) decide no graph on their own: truth tables
+  (Knuth, TAOCP 4A, 7.1.3) count each probed edge set in every graph at
+  once.  They are built by Pascal's rule, one edge variable at a time
+  (``_count_tables``): over variables 0..k, the graphs with c probed edges
+  are those with c over 0..k-1, and those with c - 1 (c when k is not
+  probed) shifted up by 2^k.  The same rule with every slot probed gives
+  the edge-count level tables; only the support sizes, counted over the n
+  vertex cover tables, are a bit-sliced sum.  The tables loop over label
+  sets, not supports, by a lemma: L is friendly on a support S exactly when
+  L is within S and |S| is 2|L| - 1, 2|L| or 2|L| + 1.  Proof: |L| must lie
+  in _label_columns' window [s // 2, s // 2 + 1 + s % 2), s = |S|.  For
+  even s that is {s / 2}, so s = 2|L|; for odd s it is
+  {(s - 1) / 2, (s + 1) / 2}, so s = 2|L| +- 1.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Iterable
 
 from .errors import BudgetError
 from .graphs import MAX_VERTICES, Graph, _edge_variable, _support_of_bits, edge_slots
-from .graphs import incident_masks, iter_bits, pair_table
+from .graphs import _require_int, incident_masks, iter_bits, pair_table
 
 MEMBERSHIP_VERTEX_LIMIT = 6
 
@@ -341,13 +347,30 @@ def check_23_cordial_digraph(g: Graph, orientation: Orientation, labeling: Verte
 # ---------------------------------------------------------------------------
 # whole membership tables
 
+def _count_tables(slots: int, probed: int) -> list[int]:
+    """Per count c = 0..|probed|, the truth table of the graphs g < 2^slots
+    with c edges in the slot mask probed.
+
+    Built by Pascal's rule, one edge variable at a time: over variables
+    0..k, the graphs with bit k clear are those over 0..k-1, and those with
+    it set are the same shifted up by 2^k, one more edge counted when k is
+    probed.  So a probed k takes T[c] to T[c] | T[c - 1] << 2^k, and any
+    other k takes T to T | T << 2^k."""
+    tables = [1]  # over no variables, the empty graph, with count 0
+    for k in range(slots):
+        shift = 1 << k
+        if probed >> k & 1:
+            tables = [a | b << shift for a, b in zip(tables + [0], [0] + tables)]
+        else:
+            tables = [t | t << shift for t in tables]
+    return tables
+
+
 @lru_cache(maxsize=None)
 def _level_tables(slots: int) -> tuple[int, ...]:
-    """Per edge count m = 0..slots, the truth table of the graphs with m edges,
-    read off one bit-sliced sum of the edge variables."""
-    planes = _sliced_sum(_edge_variable(slots, k) for k in range(slots))
-    full = (1 << (1 << slots)) - 1
-    return tuple(_lanes_counting(planes, 1 << m, full) for m in range(slots + 1))
+    """Per edge count m = 0..slots, the truth table of the graphs with m edges:
+    the count tables (Pascal's rule) with every slot probed."""
+    return tuple(_count_tables(slots, (1 << slots) - 1))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -360,13 +383,14 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     2|L| + 1, since |L| lies in [s // 2, s // 2 + 1 + s % 2), s = |S|: that
     is {s / 2} for even s and {(s - 1) / 2, (s + 1) / 2} for odd s.  So the
     table ORs over nonempty L the AND of L's cover tables, the graphs whose
-    support size (one bit-sliced sum of the cover tables) fits L, and L's
-    pass table: the graphs whose probed count, summed bit-sliced over its
-    edge variables, passes at their edge count.  Equal probed edges share a
-    pass table; a size no graph fits builds none.  n is an int, not a bool."""
+    support size fits L, and L's pass table.  The support sizes are the one
+    bit-sliced sum here, of the cover tables.  A pass table ORs over counts
+    c the graphs with c probed edges, built by Pascal's rule
+    (_count_tables), and the graphs whose edge count passes with c.  Equal
+    probed edges share a pass table; a size no graph fits builds none.  n
+    is an int, not a bool."""
     _require_property(prop)
-    if type(n) is not int:
-        raise ValueError(f"vertex count must be an int, got {n!r}")
+    _require_int("vertex count", n)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MEMBERSHIP_VERTEX_LIMIT:
@@ -375,7 +399,6 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
         )
     slots = edge_slots(n)
     full = (1 << (1 << slots)) - 1
-    var = [_edge_variable(slots, k) for k in range(slots)]
     # within[c]: the graphs whose edge count passes with c edges in the probed class.
     within = [0] * (slots + 1)
     for m, level in enumerate(_level_tables(slots)):
@@ -385,7 +408,7 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
     cover = [0] * n
     for v, inc in enumerate(incident_masks(n)):
         for k in iter_bits(inc):
-            cover[v] |= var[k]
+            cover[v] |= _edge_variable(slots, k)
     # window[s - 1]: the graphs whose support has 2s - 1, 2s or 2s + 1 vertices.
     sizes = _sliced_sum(cover)
     window = [_lanes_counting(sizes, 0b111 << 2 * s - 1, full) for s in range(1, n + 1)]
@@ -400,11 +423,9 @@ def membership_bitmap(n: int, prop: GraphProperty) -> int:
         probed = _probed_edges(n, labels, prop)
         table = passes.get(probed)
         if table is None:
-            planes = _sliced_sum(var[k] for k in iter_bits(probed))
             table = 0
-            for c, ok in enumerate(within):
-                if ok:
-                    table |= _lanes_counting(planes, 1 << c, full) & ok
+            for c, counted in enumerate(_count_tables(slots, probed)):
+                table |= counted & within[c]
             passes[probed] = table
         bitmap |= on & table
     return bitmap

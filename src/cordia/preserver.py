@@ -30,12 +30,15 @@ and swaps two variables of the table with one delta swap (Knuth, TAOCP 4A,
 
 Sample mode keeps its own scan, since nearly every sampled bijection fails
 on one of the first graphs it checks.  A bijection keeps edge counts, so only
-edge-count levels of mixed membership can show a mismatch: ``_SampleScan``
-lists each one's graphs with their slots, non-members leading, and builds a
-level the first time a draw reaches it.  A failure records the first
-mismatch in that order.  Membership is isomorphism-invariant, so a vertex
-map passes every level; vertex maps are looked for only among the
-survivors, and their slot maps are built only when something survives.  The
+edge-count levels of mixed membership can show a mismatch, and one that maps
+every non-member of a level to a non-member maps the level's non-members
+onto themselves, so its members onto members too.  So ``_SampleScan`` lists
+only each mixed level's non-members with their slots, and builds a level the
+first time a draw reaches it; a failure records the first non-member, in
+that order, that a draw maps to a member.  Membership is
+isomorphism-invariant, so a vertex map passes every level; vertex maps are
+looked for only among the survivors, and their slot maps are built only when
+something survives.  The
 draws depend on the seed and the count, not on the property, so a process
 keeps its last set of edge maps (``_sample_draws``) for the next search.
 Those are the maps ``random.Random(f"{seed}:{i}").sample`` gives, read off
@@ -60,6 +63,7 @@ from .graphs import (
     Graph,
     _edge_variable,
     _map_slots,
+    _require_int,
     _vertex_edge_map,
     edge_index,
     edge_slots,
@@ -299,29 +303,30 @@ def strongly_preserves(op: LinearOperator, prop: GraphProperty) -> PreserverVerd
 class _SampleScan:
     """Sample mode's scan of one membership table.
 
-    flags[g] is "1" iff graph g is a member.  levels[k] lists the k-th
-    edge-count level of mixed membership as (graph, slots) entries,
-    non-members leading; ``grow`` builds it the first time a draw reaches
-    it, and the first one is built with the scan, since every draw reaches
-    it.  A bijection keeps edge counts, so no graph on a uniform level can
-    change membership under one.  A level's members are bm & E_m over its
-    table E_m from ``_level_tables``."""
+    flags[g] is "1" iff graph g is a member.  levels[k] lists the
+    non-members of the k-th edge-count level of mixed membership as (graph,
+    slots) entries; ``grow`` builds it the first time a draw reaches it, and
+    the first one is built with the scan, since every draw reaches it.  A
+    bijection keeps edge counts, so no graph on a uniform level can change
+    membership under one, and on a mixed level it keeps every member exactly
+    when it keeps every non-member: the first mismatch is a non-member.  A
+    level's non-members are E_m & ~bm over its table E_m from
+    ``_level_tables``."""
 
     def __init__(self, n: int, prop: GraphProperty) -> None:
         slots = edge_slots(n)
         bm = membership_bitmap(n, prop)
         self.flags = _flags(bm, slots)
-        self._mixed = [(level, bm & level) for level in _mixed_levels(bm, slots)]
+        self._non_members = [level & ~bm for level in _mixed_levels(bm, slots)]
         self.levels: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
         self.grow()  # every draw reaches the first mixed level
 
     def grow(self) -> bool:
         """Build the next mixed level's entries; False when none is left."""
         k = len(self.levels)
-        if k == len(self._mixed):
+        if k == len(self._non_members):
             return False
-        level, members = self._mixed[k]
-        order = _set_positions(level ^ members) + _set_positions(members)
+        order = _set_positions(self._non_members[k])
         self.levels.append(tuple((g, tuple(iter_bits(g))) for g in order))
         return True
 
@@ -467,7 +472,7 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
         # and this loop then reads it.
         for entries in levels:
             for g, slots in entries:
-                if flags[g] != flags[_map_slots(pi, slots)]:
+                if flags[_map_slots(pi, slots)] == "1":
                     cex = graphs.get(g)
                     if cex is None:
                         cex = graphs[g] = Graph(n, g)
@@ -565,9 +570,10 @@ def search_strong_preservers(
     """
     _require_property(prop)
     # 1 == 1.0 == True: a non-int would share another n's table or seed's draws.
-    for name, value in (("vertex count", n), ("count", count), ("seed", seed)):
-        if type(value) is not int and not (name == "count" and value is None):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    _require_int("vertex count", n)
+    if count is not None:
+        _require_int("count", count)
+    _require_int("seed", seed)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if workers < 1:

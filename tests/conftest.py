@@ -19,7 +19,9 @@ witness; they reach supports up to 16, where the least-witness oracle is
 too slow.  The membership oracle is the
 graph-by-graph loop of mask-table scans that whole-table bit-sliced counts
 replaced, and the edge-count oracle is the graph-by-graph level check that
-the level tables replaced.  The two preserver oracles are the
+the level tables replaced.  The edge-variable oracle is the big-int division
+that doubling one period replaced, and the level-table oracle the bit-sliced
+sum of edge variables that Pascal's rule replaced.  The two preserver oracles are the
 graph-by-graph paths the truth-table kernel replaced; they read membership
 from ``membership_bitmap``, which is tested against the membership oracle.
 The pruned-search oracle is exhaustive search before it took the kernel's
@@ -100,7 +102,9 @@ from cordia.labeling import (
     _label_columns,
     _labeling_mask,
     _lane_count,
+    _lanes_counting,
     _passing,
+    _sliced_sum,
     _witness_orientation,
 )
 from cordia.preserver import (
@@ -709,6 +713,21 @@ def oracle_membership_bitmap(n: int, prop: GraphProperty) -> int:
     return bitmap
 
 
+def oracle_edge_variable(slots: int, k: int) -> int:
+    """_edge_variable(slots, k): the all-ones table over 2^slots positions
+    divided by 2^(2^k) + 1 is the blocks of 2^k set then 2^k clear bits,
+    shifted up by 2^k."""
+    width = 1 << k
+    return ((1 << (1 << slots)) - 1) // ((1 << width) + 1) << width
+
+
+def oracle_level_tables(slots: int) -> tuple[int, ...]:
+    """_level_tables(slots), read off one bit-sliced sum of the edge variables."""
+    planes = _sliced_sum(oracle_edge_variable(slots, k) for k in range(slots))
+    full = (1 << (1 << slots)) - 1
+    return tuple(_lanes_counting(planes, 1 << m, full) for m in range(slots + 1))
+
+
 def oracle_edge_count_determined(bm: int, slots: int) -> bool:
     """True when membership is constant on every edge-count level, graph by graph."""
     level: dict[int, int] = {}
@@ -719,9 +738,9 @@ def oracle_edge_count_determined(bm: int, slots: int) -> bool:
 
 
 def oracle_scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]]:
-    """Sample mode's (flags, scan order): its mixed levels' graphs, the levels
-    concatenated.  Every nonempty graph is sorted into its edge-count level
-    one at a time; mixed levels kept, non-members leading."""
+    """Sample mode's (flags, scan order): its mixed levels' non-members, the
+    levels concatenated.  Every nonempty graph is sorted into its edge-count
+    level one at a time; mixed levels kept, members dropped."""
     slots = edge_slots(n)
     flags = format(membership_bitmap(n, prop), f"0{1 << slots}b")[::-1]
     levels: dict[int, tuple[list[int], list[int]]] = {}
@@ -732,7 +751,6 @@ def oracle_scan_order(n: int, prop: GraphProperty) -> tuple[str, tuple[int, ...]
         non, mem = levels[m]
         if non and mem:
             order.extend(non)
-            order.extend(mem)
     return flags, tuple(order)
 
 

@@ -411,6 +411,43 @@ def test_orientability_failures_below_six_edges_is_only_the_three_matching():
     assert brute_isomorphic(g, make_graph(6, [(0, 1), (2, 3), (4, 5)]))
 
 
+SIZE_ENTRY_POINTS = {
+    "bound_sum_cordial": ("vertex count", bound_sum_cordial),
+    "bound_product_cordial": ("vertex count", bound_product_cordial),
+    "bound_23_orientable": ("vertex count", bound_23_orientable),
+    "bounds_for": ("vertex count", lambda n: bounds_for(GraphProperty.SUM, n)),
+    "survey": ("vertex count", lambda n: survey(GraphProperty.SUM, n)),
+    "empirical_max_edges": ("vertex count", lambda n: empirical_max_edges(GraphProperty.SUM, n)),
+    "minimal_noncordial": ("edge cap", lambda cap: minimal_noncordial(GraphProperty.SUM, cap)),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("bad", [4.0, 6.0, True, "5"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SIZE_ENTRY_POINTS))
+def test_a_size_that_is_not_an_int_is_a_value_error(monkeypatch, entry, bad, warm):
+    # minimal_noncordial(SUM, 4.0) and bound_23_orientable(6.0) once raised
+    # TypeError, minimal_noncordial(SUM, True) answered [] as edge cap 1,
+    # and bound_sum_cordial(6.0) returned 13.0.
+    name, call = SIZE_ENTRY_POINTS[entry]
+    if warm:
+        try:
+            call(int(bad) if not isinstance(bad, str) else 4)
+        except ValueError:
+            pass  # below a closed form's domain
+    else:
+        enumerate_graphs.cache_clear()
+        _edge_count_classes.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("work began before the size was checked")
+
+    for helper in ("_decide_bits", "_edge_count_classes", "enumerate_graphs", "_check_level"):
+        monkeypatch.setattr(extremal_module, helper, refuse)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
+        call(bad)
+
+
 def test_minimal_noncordial_domain_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         minimal_noncordial(GraphProperty.SUM, 0)

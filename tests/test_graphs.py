@@ -108,6 +108,17 @@ def test_graph_validation():
     assert make_graph(3, [(0, 1), (1, 0)]).edge_count == 1
 
 
+@pytest.mark.parametrize(
+    "n, edges", [(4, 1.0), (4.0, 0), (True, 0), (2, True), ("4", 0), (4, None)]
+)
+def test_graph_sizes_must_be_ints(n, edges):
+    # Graph(4, 1.0) once built a graph whose edge_count raised
+    # AttributeError, and Graph(True, 0) compared equal to Graph(1, 0).
+    name, value = ("vertex count", n) if type(n) is not int else ("edge bitset", edges)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        Graph(n, edges)
+
+
 def test_constructors():
     assert empty(4).edge_count == 0
     assert complete(4).edge_count == 6
@@ -549,7 +560,8 @@ def test_enumerate_counts_must_be_ints(warm, n, m):
     enumerate_graphs.cache_clear()
     if warm:
         enumerate_graphs(int(n), int(m))
-    with pytest.raises(ValueError, match="vertex and edge counts must be ints"):
+    name, value = ("vertex count", n) if type(n) is not int else ("edge count", m)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
         enumerate_graphs(n, m)
 
 

@@ -43,10 +43,12 @@ from conftest import (
     _scan_pairs,
     near_bijection,
     oracle_edge_count_determined,
+    oracle_edge_variable,
     oracle_exhaustive_survivors,
     oracle_is_injective,
     oracle_is_surjective,
     oracle_is_vertex_permutation,
+    oracle_level_tables,
     oracle_membership_bitmap,
     oracle_pruned_bijections,
     oracle_relabel,
@@ -55,7 +57,8 @@ from conftest import (
     oracle_scan_order,
     oracle_strongly_preserves,
 )
-from cordia.graphs import pair_table
+from cordia.graphs import _edge_variable, pair_table
+from cordia.labeling import _count_tables, _level_tables
 from cordia.preserver import (
     SAMPLE_COUNT_BUDGET,
     SampleFailure,
@@ -282,16 +285,16 @@ def test_membership_bitmap_makes_no_per_graph_decision(monkeypatch):
 def test_membership_bitmap_builds_one_pass_table_per_probed_edge_set(monkeypatch):
     # A cold n=6 build keys its pass tables by the edges _probed_edges names
     # for each label set whose support-size window holds a graph: one pass
-    # table (one _sliced_sum, the level tables being warm) per distinct
-    # probed edge set, and one more _sliced_sum for the support sizes.
-    real_sum = labeling_module._sliced_sum
+    # table (one _count_tables build, the level tables being warm) per
+    # distinct probed edge set.
+    real_count = labeling_module._count_tables
     real_probed = labeling_module._probed_edges
-    sums = []
+    builds = []
     probed = set()
 
-    def counting_sum(terms):
-        sums.append(1)
-        return real_sum(terms)
+    def counting_tables(slots, edges):
+        builds.append(edges)
+        return real_count(slots, edges)
 
     def recording_probed(*args):
         edges = real_probed(*args)
@@ -299,17 +302,49 @@ def test_membership_bitmap_builds_one_pass_table_per_probed_edge_set(monkeypatch
         return edges
 
     labeling_module._level_tables(edge_slots(6))
-    monkeypatch.setattr(labeling_module, "_sliced_sum", counting_sum)
+    monkeypatch.setattr(labeling_module, "_count_tables", counting_tables)
     monkeypatch.setattr(labeling_module, "_probed_edges", recording_probed)
     membership_bitmap.cache_clear()
     pass_tables = {}
     for prop in GraphProperty:
-        sums.clear()
+        builds.clear()
         probed.clear()
         assert membership_bitmap(6, prop).bit_count() == MEMBER_COUNTS[6][prop]
-        assert len(sums) == len(probed) + 1, prop
+        assert sorted(builds) == sorted(probed), prop
         pass_tables[prop.value] = len(probed)
     assert pass_tables == {"sum": 31, "product": 36, "orient23": 31}
+
+
+@pytest.mark.parametrize("slots", range(0, 19))
+def test_edge_variables_and_level_tables_match_their_oracles(slots):
+    # Slots 15 is n=6; the oracles' division takes about 5 s at slots 21.
+    for k in range(slots):
+        assert _edge_variable(slots, k) == oracle_edge_variable(slots, k)
+    assert _level_tables(slots) == oracle_level_tables(slots)
+
+
+@pytest.mark.parametrize("slots", range(0, 11))
+def test_count_tables_match_brute_force_popcounts(slots):
+    rng = Random(slots)
+    for probed in {0, (1 << slots) - 1, *(rng.getrandbits(slots) for _ in range(4))}:
+        want = [0] * (probed.bit_count() + 1)
+        for g in range(1 << slots):
+            want[(g & probed).bit_count()] |= 1 << g
+        assert _count_tables(slots, probed) == want
+
+
+def test_membership_tables_at_seven(monkeypatch):
+    # Only the limit keeps n=7 out; the build takes well under a second.
+    monkeypatch.setattr(labeling_module, "MEMBERSHIP_VERTEX_LIMIT", 7)
+    membership_bitmap.cache_clear()
+    try:
+        counts = {prop.value: membership_bitmap(7, prop).bit_count() for prop in GraphProperty}
+    finally:
+        # Keep no n=7 table, or the refusal tests would read it.
+        membership_bitmap.cache_clear()
+        _level_tables.cache_clear()
+        _edge_variable.cache_clear()
+    assert counts == {"sum": 2_086_066, "product": 1_474_490, "orient23": 2_094_707}
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -699,12 +734,16 @@ def test_scan_order_is_the_mixed_prefix_of_the_full_scan(n, prop):
     flags, order = scan_order(n, prop)
     assert flags == "".join(str(bm >> g & 1) for g in range(1 << edge_slots(n)))
     full = [g for g, _ in _scan_pairs(n, prop)]
-    assert tuple(full[: len(order)]) == order
-    # Every graph after the prefix sits on a level of one membership.
+    mixed = {g.bit_count() for g in order}
+    prefix = [g for g in full if g.bit_count() in mixed]
+    assert tuple(full[: len(prefix)]) == tuple(prefix)
+    # The scan is the prefix's non-members, and every graph after the prefix
+    # sits on a level of one membership.
+    assert tuple(g for g in prefix if not bm >> g & 1) == order
     uniform = {}
-    for g in full[len(order):]:
+    for g in full[len(prefix):]:
         assert uniform.setdefault(g.bit_count(), bm >> g & 1) == bm >> g & 1
-    assert not {g.bit_count() for g in order} & set(uniform)
+    assert not mixed & set(uniform)
 
 
 @pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
@@ -742,9 +781,9 @@ def test_sample_search_builds_only_the_levels_its_draws_reach(monkeypatch):
         )
         sizes[prop] = [len(entries) for entries in _sample_scan(6, prop).levels]
     assert sizes == {
-        GraphProperty.SUM: [105],
-        GraphProperty.PRODUCT: [1365],
-        GraphProperty.ORIENT23: [455],
+        GraphProperty.SUM: [45],
+        GraphProperty.PRODUCT: [285],
+        GraphProperty.ORIENT23: [15],
     }
 
 
