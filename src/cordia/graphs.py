@@ -13,18 +13,25 @@ and swapping them is an automorphism, the pruning of McKay, "Practical
 graph isomorphism", Congr. Numer. 30, 1981, restricted to twin swaps); it
 is available while that support is small (at most 10 vertices).
 
-Isomorphism classes are enumerated level by level: each class with m edges
-comes from a class with m - 1 edges plus one absent edge.  Two vertices are
-twins when they have the same neighbours apart from each other, and swapping
-them is an automorphism, so every absent edge joining the same two twin
-classes gives the same class; only one of them is tried.  A child is keyed
-only when its new edge has the greatest of an isomorphism-invariant edge key
-among its edges, so a class is keyed only from the parents that delete one
-of its top edges; the degree sum leads that key, so most children are
-settled before the rest of it is built.  These are the cheap parts of
-canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998): twin classes stand in for automorphism orbits, and the
-canonical-deletion test runs without its orbit step.
+Isomorphism classes are enumerated level by level, and each level in
+support layers.  The classes of level (n, m) on fewer than n support
+vertices are exactly level (n - 1, m), whose representatives already carry
+their keys (a representative's support is packed at 0..s-1, so its edges
+re-indexed onto the support's own slots are its key's bits).  Only the
+classes on all n vertices are searched for: each comes from a class of
+level (n, m - 1) plus one absent edge, and one edge covers at most two new
+vertices, so a parent on fewer than n - 2 support vertices is skipped.
+Two vertices are twins when they have the same neighbours apart from each
+other, and swapping them is an automorphism, so every absent edge joining
+the same two twin classes gives the same class; only one of them is tried.
+A child is keyed only when its new edge has the greatest of an
+isomorphism-invariant edge key among its edges, so a class is keyed only
+from the parents that delete one of its top edges; the degree sum leads
+that key, so most children are settled before the rest of it is built.
+These are the cheap parts of canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): twin classes stand in for
+automorphism orbits, and the canonical-deletion test runs without its
+orbit step.
 
 The classes of one edge count on any support are multisets of connected
 classes (``_edge_count_classes``).  Only this module generates classes, so the
@@ -33,10 +40,10 @@ limits of ``enumerate_graphs`` are the only refusals of every class question.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetError, UnknownTagError
@@ -295,35 +302,44 @@ def _least_bits(adj: list[int]) -> int:
     among the placed positions; row p outranks every lower row, so only the
     placements whose rows so far are least can lead to the minimum.  A state
     maps each unplaced vertex to its pattern and each placed vertex to
-    (1 << k) - 1, above every pattern: two placements with equal states have
-    the same completions, so each is kept once.  Twins share a pattern while
-    both are unplaced, and swapping them is an automorphism that fixes every
-    placed vertex, so placing either one leads to the same rows; a tied
-    vertex is tried only when the twin before it is already placed.
+    full = (1 << k) - 1, above every pattern: two placements with equal
+    states have the same completions, so each is kept once.  Twins share a
+    pattern while both are unplaced, and swapping them is an automorphism
+    that fixes every placed vertex, so placing either one leads to the same
+    rows; a tied vertex is tried only when the twin before it is already
+    placed.
+
+    A state is one int with a 16-bit field per vertex, field u at bits
+    16u..16u+15 (k is at most MAX_CANONICAL_SUPPORT, so full fits); placed
+    vertices hold full.  Placing u at p ORs bit p into the field of each
+    neighbour of u (spread[u] << p) and full into u's own field (own[u]).
+    One level's states are read back together as one list of unsigned
+    shorts in native byte order, state i's field u at i * k + u, so the
+    tied fields are found by ``min``, ``count`` and ``index`` over it.
     """
     k = len(adj)
     full = (1 << k) - 1
-    prev: list[int] = []  # per vertex, the twin before it, or -1
+    back: list[int] = []  # per vertex, how far back the twin before it is, or 0
     last: dict[int, int] = {}
     for v, c in enumerate(_twin_classes(adj)):
-        prev.append(last.get(c, -1))
+        back.append(v - last[c] if c in last else 0)
         last[c] = v
+    spread = [sum(1 << 16 * w for w in iter_bits(a)) for a in adj]
+    own = [full << 16 * u for u in range(k)]
+    width, order = 2 * k, sys.byteorder
     bits = 0
-    states = {(0,) * k}
+    states = [0]
     for p in range(k - 1, -1, -1):
-        best = min(map(min, states))
-        bit = 1 << p
-        rows: dict[int, tuple[int, ...]] = {}
+        fields = memoryview(b"".join([s.to_bytes(width, order) for s in states])).cast("H").tolist()
+        best = min(fields)
         nxt = set()
-        for pats in states:
-            for u, r in enumerate(pats):
-                if r == best and (prev[u] < 0 or pats[prev[u]] == full):
-                    row = rows.get(u)
-                    if row is None:
-                        a = adj[u]
-                        row = rows[u] = tuple(full if w == u else a >> w & 1 and bit for w in range(k))
-                    nxt.add(tuple(map(or_, pats, row)))
-        states = nxt
+        at = -1
+        for _ in range(fields.count(best)):
+            at = fields.index(best, at + 1)
+            i, u = divmod(at, k)
+            if not back[u] or fields[at - back[u]] == full:
+                nxt.add(states[i] | spread[u] << p | own[u])
+        states = list(nxt)
         bits |= (best >> (p + 1)) << (p * (2 * k - p - 1) // 2)
     return bits
 
@@ -461,48 +477,81 @@ def _check_level(n: int, m: int) -> None:
         raise BudgetError(f"level (n={n}, m={m}) has {subsets} subsets; budget is {SUBSET_BUDGET}")
 
 
+def _representative_key(g: Graph) -> CanonicalKey:
+    """The key of an enumerated representative, read off without a search:
+    its support is packed at 0..s-1 with the key's bitset, so its edges
+    re-indexed onto pair_table(s) are the key's bits."""
+    s = g.support_size()
+    return CanonicalKey(s, g.edge_count, sum(1 << edge_index(s, i, j) for i, j in g.edge_list()))
+
+
+def _covering_slots(g: Graph) -> list[int]:
+    """The slots of ``_extension_slots(g)`` whose child covers all g.n
+    vertices.  g's support is packed at 0..s-1 and one edge covers at most
+    two new vertices, so a g with s < n - 2 has none and is skipped before
+    its twin classes are built."""
+    n, s = g.n, g.support_size()
+    if s < n - 2:
+        return []
+    pt = pair_table(n)
+    return [k for k in _extension_slots(g) if (pt[k][0] >= s) + (pt[k][1] >= s) == n - s]
+
+
 @lru_cache(maxsize=None, typed=True)
 def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class with m edges on at most n vertices.
 
     Classes are counted up to isomorphism after dropping isolated vertices, and
-    representatives come back sorted by canonical key.  Level m is built by
-    adding to each representative of level m - 1 one absent edge per unordered
-    pair of its twin classes, and keying the child only when its new edge has
-    the greatest edge invariant among its edges (``_edge_invariants``; ties
-    are keyed).  A level above half the edge slots is the complements of
-    level C(n, 2) - m.
+    representatives come back sorted by canonical key, each with its support
+    packed at 0..s-1.  A level above half the edge slots is the complements
+    of level C(n, 2) - m.  A level (n, m) at most half is two disjoint sets:
+    the classes on at most n - 1 support vertices, which are exactly level
+    (n - 1, m) when m <= C(n - 1, 2) and none otherwise, their keys read off
+    its cached representatives with no search (``_representative_key``);
+    and the classes on all n vertices, keyed from level m - 1.  Level
+    (n - 1, m) is within the budget whenever (n, m) is, since
+    C(C(n - 1, 2), m) <= C(C(n, 2), m) for m <= C(n, 2) / 2.
 
-    Every class of level m is still keyed.  Take any graph G of the class and
-    an edge e* of G with the greatest invariant.  G - e* is isomorphic to some
-    representative R of level m - 1 by some phi, so R + phi(e*) is isomorphic
-    to G.  Among its candidates, R has a slot e' joining the same unordered
-    pair of twin classes as phi(e*).  Any permutation inside twin classes is
-    an automorphism of R (swapping two twins is one), and one such
-    permutation maps phi(e*) to e'.  So R + e' is isomorphic to G by a map
-    that sends e* to e'.  The invariant is kept by isomorphisms, so e' has
-    the greatest invariant in R + e', and R + e' is keyed.  This is the
+    The classes on all n vertices are built by adding to each representative
+    of level (n, m - 1) one absent edge per unordered pair of its twin
+    classes, keeping only the children that cover all n vertices (so a
+    parent on fewer than n - 2 support vertices has none,
+    ``_covering_slots``), and keying the child only when its new edge has
+    the greatest edge invariant among its edges (``_edge_invariants``; ties
+    are keyed).
+
+    Every class G on all n vertices is still keyed.  Take an edge e* of G
+    with the greatest invariant.  G - e* is isomorphic to some
+    representative R of level m - 1 by some phi, so R + phi(e*) is
+    isomorphic to G.  Among its candidates, R has a slot e' joining the same
+    unordered pair of twin classes as phi(e*).  Any permutation inside twin
+    classes is an automorphism of R (swapping two twins is one), and one
+    such permutation maps phi(e*) to e'.  So R + e' is isomorphic to G by a
+    map that sends e* to e'; it covers all n vertices because G does, and
+    R + e' is kept.  The invariant is kept by isomorphisms, so e' has the
+    greatest invariant in R + e', and R + e' is keyed.  This is the
     canonical-deletion test of canonical augmentation (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998) without its orbit step: some
-    classes are still keyed from several parents, and the key set removes
-    the repeats.
+    exhaustive generation", J. Algorithms 1998) without its orbit step:
+    some classes are still keyed from several parents, and the key set
+    removes the repeats.
     """
     _check_level(n, m)
     slots = edge_slots(n)
     mm = min(m, slots - m)
     if m == 0:
-        keys = {CanonicalKey(0, 0, 0)}
+        keys = [CanonicalKey(0, 0, 0)]
     elif mm != m:
         full = (1 << slots) - 1
-        keys = {_canonical_key_bits(n, full ^ g.edges) for g in enumerate_graphs(n, mm)}
+        keys = sorted({_canonical_key_bits(n, full ^ g.edges) for g in enumerate_graphs(n, mm)})
     else:
-        keys = {
+        lower = [_representative_key(g) for g in enumerate_graphs(n - 1, m)] if m <= edge_slots(n - 1) else []
+        keys = lower + sorted({
             _canonical_key_bits(n, g.edges | 1 << k)
             for g in enumerate_graphs(n, m - 1)
-            for k in _extension_slots(g)
+            for k in _covering_slots(g)
             if _tops_edge_invariant(n, g.edges | 1 << k, k)
-        }
-    return tuple(canonical_representative(key, n) for key in sorted(keys))
+        })
+    return tuple(canonical_representative(key, n) for key in keys)
 
 
 def connected_on_support(g: Graph) -> bool:

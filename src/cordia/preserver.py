@@ -85,6 +85,8 @@ class LinearOperator:
     images: tuple[Graph, ...]
 
     def __post_init__(self) -> None:
+        # 4.0 or True would build an operator equal to the int one, with the same hash.
+        _require_int("vertex count", self.n)
         if len(self.images) != edge_slots(self.n):
             raise ValueError(f"expected {edge_slots(self.n)} images for n={self.n}")
         for im in self.images:
@@ -564,7 +566,7 @@ def search_strong_preservers(
     is read or any edge map drawn.  Vertex-only and sample modes read the
     membership table before they build any edge map, so its refusal of
     n > 6 (BudgetError) is theirs.  Every mode runs in the calling process.
-    `workers` is checked (at least 1) and has no effect; it stays only
+    `workers` is checked (an int, at least 1) and has no effect; it stays only
     because the traced sample runs of `perfbench/worker.py` pass workers=2,
     and goes at the next change to the benchmark.
     """
@@ -574,6 +576,7 @@ def search_strong_preservers(
     if count is not None:
         _require_int("count", count)
     _require_int("seed", seed)
+    _require_int("workers", workers)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if workers < 1:

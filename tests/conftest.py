@@ -29,13 +29,18 @@ step: the same prefix order, checked graph by graph over an image array.
 The canonical-key oracle is the permutation minimum the
 least-bitset search replaced.  The least-bits oracle is that search before
 it tried one member per twin class: every tied vertex is placed, and placed
-vertices hold -1.  The top-edge oracle builds every edge's invariant for
+vertices hold -1.  The tuple-state oracle is the twin-pruned search before
+its states were packed into one int: each state is a tuple of per-vertex
+patterns, and each placement ORs in a row tuple.  The top-edge oracle builds every edge's invariant for
 each child, where ``_tops_edge_invariant`` first compares degree sums.  The
 enumeration oracle is the subset walk
 that level-by-level extension replaced; it takes its keys from
 ``_canonical_key_bits``, which is tested against the former.  The extension
 oracle adds every absent edge to every representative of the level below,
-the loop that one edge per pair of twin classes replaced.  The
+the loop that one edge per pair of twin classes replaced.  The flat-level
+oracle builds every in-budget level of one n from that n's level below
+alone, keying every child that tops the edge invariant, the build that
+support layering replaced.  The
 friendly-table oracle is the Gosper iteration that Pascal's rule replaced;
 ``column_label_bits`` puts the ``_label_columns`` entries on a mask, the
 friendly sets per support that the membership table read before it looped
@@ -70,6 +75,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
+from operator import or_
 
 from cordia import (
     BudgetError,
@@ -88,6 +94,9 @@ from cordia.graphs import (
     SUBSET_BUDGET,
     _canonical_key_bits,
     _edge_invariants,
+    _extension_slots,
+    _tops_edge_invariant,
+    _twin_classes,
     canonical_representative,
     edge_index,
     incident_masks,
@@ -560,6 +569,38 @@ def oracle_least_bits(adj: list[int]) -> int:
     return bits
 
 
+def oracle_tuple_least_bits(adj: list[int]) -> int:
+    """Least edge bitset over all orderings of the vertices 0..k-1, where
+    adj[v] is the neighbour mask of v: the row-by-row search that places one
+    member of each twin class at a time, on tuple states that hold each
+    unplaced vertex's pattern and (1 << k) - 1 for each placed vertex."""
+    k = len(adj)
+    full = (1 << k) - 1
+    prev: list[int] = []  # per vertex, the twin before it, or -1
+    last: dict[int, int] = {}
+    for v, c in enumerate(_twin_classes(adj)):
+        prev.append(last.get(c, -1))
+        last[c] = v
+    bits = 0
+    states = {(0,) * k}
+    for p in range(k - 1, -1, -1):
+        best = min(map(min, states))
+        bit = 1 << p
+        rows: dict[int, tuple[int, ...]] = {}
+        nxt = set()
+        for pats in states:
+            for u, r in enumerate(pats):
+                if r == best and (prev[u] < 0 or pats[prev[u]] == full):
+                    row = rows.get(u)
+                    if row is None:
+                        a = adj[u]
+                        row = rows[u] = tuple(full if w == u else a >> w & 1 and bit for w in range(k))
+                    nxt.add(tuple(map(or_, pats, row)))
+        states = nxt
+        bits |= (best >> (p + 1)) << (p * (2 * k - p - 1) // 2)
+    return bits
+
+
 def oracle_tops_edge_invariant(n: int, bits: int, k: int) -> bool:
     """True when edge slot k has the greatest invariant among the graph's
     edges, ties counted, read off every edge's full invariant."""
@@ -587,6 +628,44 @@ def oracle_extend_level(n: int, m: int) -> tuple[Graph, ...]:
         if not g.edges >> k & 1
     }
     return tuple(canonical_representative(key, n) for key in sorted(keys))
+
+
+def count_key_calls(monkeypatch) -> list[int]:
+    """A one-item list that counts ``_canonical_key_bits`` calls from now on,
+    from graphs.py and extremal.py alike."""
+    calls = [0]
+
+    def counted(n, bits):
+        calls[0] += 1
+        return _canonical_key_bits(n, bits)
+
+    monkeypatch.setattr("cordia.graphs._canonical_key_bits", counted)
+    monkeypatch.setattr("cordia.extremal._canonical_key_bits", counted)
+    return calls
+
+
+def oracle_flat_levels(n: int) -> dict[int, tuple[Graph, ...]]:
+    """Every level m of n within SUBSET_BUDGET, built flat: level m from level
+    m - 1 of the same n alone, keying each child (one absent edge per pair of
+    twin classes) whose new edge tops the edge invariant, whatever its
+    support; a level above half the slots is the complements of its mirror."""
+    slots = edge_slots(n)
+    levels = {0: (canonical_representative(CanonicalKey(0, 0, 0), n),)}
+    m = 1
+    while 2 * m <= slots and comb(slots, m) <= SUBSET_BUDGET:
+        keys = {
+            _canonical_key_bits(n, g.edges | 1 << k)
+            for g in levels[m - 1]
+            for k in _extension_slots(g)
+            if _tops_edge_invariant(n, g.edges | 1 << k, k)
+        }
+        levels[m] = tuple(canonical_representative(key, n) for key in sorted(keys))
+        m += 1
+    full = (1 << slots) - 1
+    for mm in list(levels):
+        keys = {_canonical_key_bits(n, full ^ g.edges) for g in levels[mm]}
+        levels[slots - mm] = tuple(canonical_representative(key, n) for key in sorted(keys))
+    return levels
 
 
 def column_label_bits(mask: int) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from cordia import (
     survey,
     to_graph6,
 )
-from cordia.graphs import _canonical_key_bits, _edge_count_classes
+from cordia.graphs import _connected_classes, _edge_count_classes
 
 from conftest import (
     brute_23_orientable,
@@ -34,6 +34,7 @@ from conftest import (
     brute_least_witness,
     brute_product_cordial,
     brute_sum_cordial,
+    count_key_calls,
     oracle_23_orientable,
     oracle_empirical_max,
 )
@@ -246,27 +247,41 @@ def test_empirical_budget_and_domain_errors():
 
 
 def test_empirical_key_calls(monkeypatch):
-    # Deterministic work counts.  Cold product n=7 makes 346 key calls to
+    # Deterministic work counts.  Cold product n=7 makes 331 key calls to
     # enumerate levels 1-8, whose complements are levels 13-20, and keys only
     # the 63 complements that pass at m=13; keying every complement class
-    # made 589.
-    calls = 0
-
-    def counted(n, bits):
-        nonlocal calls
-        calls += 1
-        return _canonical_key_bits(n, bits)
-
-    monkeypatch.setattr("cordia.graphs._canonical_key_bits", counted)
-    monkeypatch.setattr(extremal_module, "_canonical_key_bits", counted)
+    # made 589, and keying again the classes on fewer than n vertices that
+    # level (n - 1, m) holds made 409.
+    calls = count_key_calls(monkeypatch)
     enumerate_graphs.cache_clear()
     assert empirical_max_edges(GraphProperty.PRODUCT, 7)[0] == 13
-    assert calls == 409
+    assert calls[0] == 394
     # Level 14 is the complements of level 7, enumerated above; every class
     # fails product, so none is keyed.
-    calls = 0
+    calls[0] = 0
     assert extremal_module._least_passing_class(GraphProperty.PRODUCT, 7, 14) is None
-    assert calls == 0
+    assert calls[0] == 0
+
+
+def test_survey_key_calls(monkeypatch):
+    # The cells of scripts/extremal_survey.py, cold, each property's cells in
+    # ascending n, then minimal_noncordial at edge cap 6: 570 key calls when
+    # every level keyed its classes on fewer than n vertices again.
+    calls = count_key_calls(monkeypatch)
+    enumerate_graphs.cache_clear()
+    _connected_classes.cache_clear()
+    _edge_count_classes.cache_clear()
+    cells = {
+        GraphProperty.SUM: range(4, 9),
+        GraphProperty.PRODUCT: range(4, 8),
+        GraphProperty.ORIENT23: range(6, 8),
+    }
+    for prop, ns in cells.items():
+        for n in ns:
+            empirical_max_edges(prop, n)
+    for prop in cells:
+        minimal_noncordial(prop, 6)
+    assert calls[0] == 411
 
 
 # ------------------------------------------------------- complete-graph facts

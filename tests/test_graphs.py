@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from math import comb
 
 import cordia
 import pytest
@@ -38,12 +39,13 @@ from cordia import (
     union,
 )
 from cordia.graphs import (
+    SUBSET_BUDGET,
     _adjacency,
-    _canonical_key_bits,
     _edge_invariants,
     _extension_slots,
     _least_bits,
     _map_slots,
+    _representative_key,
     _tops_edge_invariant,
     _twin_classes,
     _vertex_edge_map,
@@ -56,16 +58,19 @@ from cordia.preserver import _apply_bits
 from conftest import (
     brute_isomorphic,
     burnside_graph_count,
+    count_key_calls,
     oracle_canonical_bits,
     oracle_connected_on_support,
     oracle_enumerate_keys,
     oracle_extend_level,
+    oracle_flat_levels,
     oracle_least_bits,
     oracle_parse_graph6,
     oracle_relabel,
     oracle_to_graph6,
     oracle_support_mask,
     oracle_tops_edge_invariant,
+    oracle_tuple_least_bits,
 )
 
 graphs_st = st.integers(2, 7).flatmap(
@@ -285,6 +290,43 @@ def test_least_bits_matches_oracle_on_symmetric_graphs_without_twins():
         adj = _adjacency(g.n, g.edges)
         assert _twin_classes(adj) == list(range(g.n)), g
         assert _least_bits(adj) == oracle_least_bits(adj), g
+
+
+def _relabeled_adjacency(adj: list[int], perm: list[int]) -> list[int]:
+    out = [0] * len(adj)
+    for v, a in enumerate(adj):
+        out[perm[v]] = sum(1 << perm[w] for w in iter_bits(a))
+    return out
+
+
+def test_packed_least_bits_matches_both_oracles_on_relabeled_classes():
+    # Every class on at most 7 vertices, each on its own support under 3
+    # seeded relabelings.
+    rng = random.Random(31)
+    for m in range(edge_slots(7) + 1):
+        for rep in enumerate_graphs(7, m):
+            s = rep.support_size()
+            adj = _adjacency(7, rep.edges)[:s]
+            for _ in range(3):
+                perm = rng.sample(range(s), s)
+                relabeled = _relabeled_adjacency(adj, perm)
+                want = oracle_least_bits(relabeled)
+                assert oracle_tuple_least_bits(relabeled) == want, (rep, perm)
+                assert _least_bits(relabeled) == want, (rep, perm)
+
+
+@pytest.mark.parametrize("support", [8, 9, 10])
+def test_packed_least_bits_matches_both_oracles_on_large_supports(support):
+    graphs = [make_graph(support, [(i, (i + 1) % support) for i in range(support)])]
+    if support == 10:
+        graphs += [named("petersen"), complete(10)]
+    for density in (0.2, 0.5, 0.8):
+        graphs += _seeded_graphs_on_support(support, density, 4, seed=31 + support)
+    for g in graphs:
+        adj = _adjacency(support, g.edges)
+        want = oracle_least_bits(adj)
+        assert oracle_tuple_least_bits(adj) == want, g
+        assert _least_bits(adj) == want, g
 
 
 def test_import_does_not_load_numpy():
@@ -515,26 +557,61 @@ def test_tops_edge_invariant_matches_full_invariant_oracle(n):
                 assert _tops_edge_invariant(n, child, k) == oracle_tops_edge_invariant(n, child, k), (g, k)
 
 
+def _in_budget_levels(n: int) -> list[int]:
+    slots = edge_slots(n)
+    return [m for m in range(slots + 1) if comb(slots, min(m, slots - m)) <= SUBSET_BUDGET]
+
+
 def test_enumerate_key_calls(monkeypatch):
     # Deterministic work counts of cold extension: every absent edge took
     # 2,200 and 1,048 calls, one absent edge per pair of twin classes 1,271
-    # and 366; keying only children whose new edge tops the edge invariant
-    # takes the counts below.
-    calls = 0
-
-    def counted(n, bits):
-        nonlocal calls
-        calls += 1
-        return _canonical_key_bits(n, bits)
-
-    monkeypatch.setattr("cordia.graphs._canonical_key_bits", counted)
+    # and 366, keying only children whose new edge tops the edge invariant
+    # 346 and 147; reading the classes on fewer than n vertices off level
+    # (n - 1, m) takes the counts below.
+    calls = count_key_calls(monkeypatch)
     counts = []
     for n, m in [(7, 8), (8, 6)]:
         enumerate_graphs.cache_clear()
-        calls = 0
+        calls[0] = 0
         enumerate_graphs(n, m)
-        counts.append(calls)
-    assert counts == [346, 147]
+        counts.append(calls[0])
+    assert counts == [331, 141]
+
+
+def test_cache_clear_leaves_the_next_enumeration_cold(monkeypatch):
+    # enumerate_graphs holds the only level cache: after every in-budget
+    # level up to n = 8 was built, cache_clear makes (7, 8) pay its cold
+    # count again.
+    for n in range(1, 9):
+        for m in _in_budget_levels(n):
+            enumerate_graphs(n, m)
+    calls = count_key_calls(monkeypatch)
+    enumerate_graphs.cache_clear()
+    enumerate_graphs(7, 8)
+    assert calls[0] == 331
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_layered_levels_match_flat_levels(n):
+    # Every in-budget level: all of them up to n = 7, m <= 6 and m >= 22
+    # at n = 8, m <= 5 and m >= 31 at n = 9.
+    flat = oracle_flat_levels(n)
+    assert sorted(flat) == _in_budget_levels(n)
+    for m, level in flat.items():
+        assert enumerate_graphs(n, m) == level, (n, m)
+        assert [_representative_key(g) for g in level] == [canonical_form(g) for g in level], (n, m)
+
+
+def test_levels_do_not_depend_on_which_lower_levels_are_cached():
+    # Upward, each level (n - 1, m) is cached before (n, m) reads it;
+    # downward, (n, m) builds it on demand.
+    walks = []
+    for ns, desc in [(range(1, 10), False), (range(9, 0, -1), True)]:
+        enumerate_graphs.cache_clear()
+        walks.append({
+            (n, m): enumerate_graphs(n, m) for n in ns for m in sorted(_in_budget_levels(n), reverse=desc)
+        })
+    assert walks[0] == walks[1]
 
 
 def test_enumerate_level_counts_on_four_vertices():

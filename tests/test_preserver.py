@@ -98,6 +98,14 @@ def test_operator_validation():
         LinearOperator(4, (empty(5),) * 6)  # wrong vertex count
 
 
+@pytest.mark.parametrize("n", [4.0, True], ids=repr)
+def test_operator_vertex_count_must_be_an_int(n):
+    # LinearOperator(4.0, ...) was once built and compared and hashed equal
+    # to the n=4 operator.
+    with pytest.raises(ValueError, match=f"^vertex count must be an int, got {n!r}$"):
+        LinearOperator(n, identity_operator(4).images)
+
+
 def test_apply_is_union_of_images():
     op = collapse_operator(4)
     assert apply(op, empty(4)) == empty(4)
@@ -844,6 +852,15 @@ def test_count_and_seed_must_be_ints_in_every_mode(monkeypatch, mode, count, see
     refuse_tables_and_draws(monkeypatch)
     with pytest.raises(ValueError, match="must be an int"):
         search_strong_preservers(4, GraphProperty.SUM, mode, count=count, seed=seed)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "vertex-only", "sample"])
+@pytest.mark.parametrize("workers", ["2", True, 2.0], ids=repr)
+def test_workers_must_be_an_int(monkeypatch, mode, workers):
+    # workers="2" once raised TypeError from the `< 1` test, and True passed.
+    refuse_tables_and_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^workers must be an int, got {workers!r}$"):
+        search_strong_preservers(4, GraphProperty.SUM, mode, count=50, seed=1, workers=workers)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "vertex-only"])
