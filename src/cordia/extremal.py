@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, _canonical_key_bits, _check_level, _edge_count_classes, _require_int
+from .graphs import Graph, _canonical_key_bits, _check_level, _classes_by_edge_count, _require_int
 from .graphs import canonical_representative, edge_slots, enumerate_graphs
 from .labeling import GraphProperty, _decide_bits, _require_property
 
@@ -145,10 +145,9 @@ def minimal_noncordial(prop: GraphProperty, edge_cap: int) -> list[tuple[int, Gr
     _require_int("edge cap", edge_cap)
     if edge_cap < 1:
         raise ValueError("edge cap must be positive")
-    _edge_count_classes(edge_cap)
     out = []
-    for m in range(1, edge_cap + 1):
-        failing = [g for g in _edge_count_classes(m) if not _decide_bits(g.n, g.edges, prop)]
+    for m, classes in _classes_by_edge_count(edge_cap).items():
+        failing = [g for g in classes if not _decide_bits(g.n, g.edges, prop)]
         failing.sort(key=lambda g: (g.support_size(), g.edges))
         out.extend((m, g) for g in failing)
     return out

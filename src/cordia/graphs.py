@@ -33,9 +33,11 @@ exhaustive generation", J. Algorithms 1998): twin classes stand in for
 automorphism orbits, and the canonical-deletion test runs without its
 orbit step.
 
-The classes of one edge count on any support are multisets of connected
-classes (``_edge_count_classes``).  Only this module generates classes, so the
-limits of ``enumerate_graphs`` are the only refusals of every class question.
+The classes of each edge count up to a cap, on any support, are built in
+one uncached pass over multisets of connected classes
+(``_classes_by_edge_count``).  Only this module generates classes and
+``enumerate_graphs`` holds its one class cache, so its limits are the only
+refusals of every class question and clearing it leaves them all cold.
 """
 
 from __future__ import annotations
@@ -71,9 +73,11 @@ def edge_slots(n: int) -> int:
 
 
 def edge_index(n: int, i: int, j: int) -> int:
-    """Bit position of the pair (i, j) in pair_table(n)."""
+    """Bit position of the pair (i, j) in pair_table(n); a ValueError if it names none."""
     if i > j:
         i, j = j, i
+    if not 0 <= i < j < n:
+        raise ValueError(f"vertex pair ({i}, {j}) names no edge slot for n={n}")
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
@@ -223,11 +227,19 @@ def union(g: Graph, h: Graph) -> Graph:
     return Graph(g.n, g.edges | h.edges)
 
 
+def _permutation(perm: Iterable[int], n: int) -> tuple[int, ...]:
+    """perm as a tuple if it permutes 0..n-1 by ints (no bools), else a ValueError."""
+    perm = tuple(perm)
+    for v in perm:
+        _require_int("perm entry", v)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    return perm
+
+
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     """Image of g under the vertex permutation v -> perm[v]."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of the vertex set")
-    return Graph(g.n, _map_slots(_vertex_edge_map(tuple(perm)), iter_bits(g.edges)))
+    return Graph(g.n, _map_slots(_vertex_edge_map(_permutation(perm, g.n)), iter_bits(g.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +431,14 @@ def _extension_slots(g: Graph) -> list[int]:
     return list(first.values())
 
 
-def _edge_invariants(n: int, bits: int) -> dict[int, tuple]:
-    """Per edge slot of the graph, a key that every isomorphism carries to its
-    image edge: for the edge (u, v), deg u + deg v, the common neighbours of
-    u and v, and the sorted pair of (deg, sum of neighbour degrees) of u and v."""
-    pt = pair_table(n)
-    adj = _adjacency(n, bits)
+def _edge_invariants(adj: list[int], bits: int) -> dict[int, tuple]:
+    """Per edge slot of bits (adjacency adj), a key that every isomorphism
+    carries to its image edge: for the edge (u, v), deg u + deg v, the common
+    neighbours of u and v, and the sorted pair of (deg, sum of neighbour
+    degrees) of u and v."""
+    pt = pair_table(len(adj))
     deg = [a.bit_count() for a in adj]
-    rank = [(deg[v], sum(deg[w] for w in iter_bits(adj[v]))) for v in range(n)]
+    rank = [(d, sum(deg[w] for w in iter_bits(a))) for d, a in zip(deg, adj)]
     out = {}
     for k in iter_bits(bits):
         i, j = pt[k]
@@ -435,19 +447,19 @@ def _edge_invariants(n: int, bits: int) -> dict[int, tuple]:
     return out
 
 
-def _tops_edge_invariant(n: int, bits: int, k: int) -> bool:
-    """True when edge slot k has the greatest invariant among the graph's
-    edges; ties count.  The degree sum leads the invariant, so an edge with a
-    larger degree sum settles it before any invariant is built."""
-    pt = pair_table(n)
-    deg = [a.bit_count() for a in _adjacency(n, bits)]
+def _tops_edge_invariant(adj: list[int], bits: int, k: int) -> bool:
+    """True when edge slot k has the greatest invariant among the edges of
+    bits (adjacency adj); ties count.  The degree sum leads the invariant, so
+    an edge with a larger degree sum settles it before any invariant is built."""
+    pt = pair_table(len(adj))
+    deg = [a.bit_count() for a in adj]
     i, j = pt[k]
     top = deg[i] + deg[j]
     for e in iter_bits(bits):
         a, b = pt[e]
         if deg[a] + deg[b] > top:
             return False
-    inv = _edge_invariants(n, bits)
+    inv = _edge_invariants(adj, bits)
     return inv[k] == max(inv.values())
 
 
@@ -485,16 +497,23 @@ def _representative_key(g: Graph) -> CanonicalKey:
     return CanonicalKey(s, g.edge_count, sum(1 << edge_index(s, i, j) for i, j in g.edge_list()))
 
 
-def _covering_slots(g: Graph) -> list[int]:
-    """The slots of ``_extension_slots(g)`` whose child covers all g.n
-    vertices.  g's support is packed at 0..s-1 and one edge covers at most
-    two new vertices, so a g with s < n - 2 has none and is skipped before
-    its twin classes are built."""
+def _covering_child_keys(g: Graph) -> Iterator[CanonicalKey]:
+    """The keys of g's children on ``_extension_slots(g)`` that cover all g.n
+    vertices and whose new edge tops the edge invariant.  g's support is
+    packed at 0..s-1 and one edge covers at most two new vertices, so a g
+    with s < n - 2 has none and is skipped before its twin classes are
+    built.  A child's one adjacency serves the test and the key search: its
+    support is all n vertices, so its key is its own least bits."""
     n, s = g.n, g.support_size()
     if s < n - 2:
-        return []
+        return
     pt = pair_table(n)
-    return [k for k in _extension_slots(g) if (pt[k][0] >= s) + (pt[k][1] >= s) == n - s]
+    for k in _extension_slots(g):
+        if (pt[k][0] >= s) + (pt[k][1] >= s) == n - s:
+            bits = g.edges | 1 << k
+            adj = _adjacency(n, bits)
+            if _tops_edge_invariant(adj, bits, k):
+                yield CanonicalKey(n, bits.bit_count(), _least_bits(adj))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -515,10 +534,10 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     The classes on all n vertices are built by adding to each representative
     of level (n, m - 1) one absent edge per unordered pair of its twin
     classes, keeping only the children that cover all n vertices (so a
-    parent on fewer than n - 2 support vertices has none,
-    ``_covering_slots``), and keying the child only when its new edge has
-    the greatest edge invariant among its edges (``_edge_invariants``; ties
-    are keyed).
+    parent on fewer than n - 2 support vertices has none), and keying the
+    child only when its new edge has the greatest edge invariant among its
+    edges (``_edge_invariants``; ties are keyed), both on one adjacency per
+    child (``_covering_child_keys``).
 
     Every class G on all n vertices is still keyed.  Take an edge e* of G
     with the greatest invariant.  G - e* is isomorphic to some
@@ -545,12 +564,7 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
         keys = sorted({_canonical_key_bits(n, full ^ g.edges) for g in enumerate_graphs(n, mm)})
     else:
         lower = [_representative_key(g) for g in enumerate_graphs(n - 1, m)] if m <= edge_slots(n - 1) else []
-        keys = lower + sorted({
-            _canonical_key_bits(n, g.edges | 1 << k)
-            for g in enumerate_graphs(n, m - 1)
-            for k in _covering_slots(g)
-            if _tops_edge_invariant(n, g.edges | 1 << k, k)
-        })
+        keys = lower + sorted({key for g in enumerate_graphs(n, m - 1) for key in _covering_child_keys(g)})
     return tuple(canonical_representative(key, n) for key in keys)
 
 
@@ -568,41 +582,26 @@ def connected_on_support(g: Graph) -> bool:
     return bool(support) and seen == support
 
 
-@lru_cache(maxsize=None)
-def _connected_classes(c: int) -> tuple[Graph, ...]:
-    # Connected classes with c edges have at most c + 1 support vertices.
-    return tuple(g for g in enumerate_graphs(c + 1, c) if connected_on_support(g))
+def _classes_by_edge_count(cap: int) -> dict[int, list[Graph]]:
+    """Per edge count m = 1..cap, one representative per isomorphism class
+    with exactly m edges, built in one pass and not cached.
 
+    A class is a multiset of connected classes laid side by side, so its
+    support may reach 2m.  A connected class with c edges spans at most
+    c + 1 vertices and is read off level (c + 1, c); every such level is
+    read before any class is joined, so its refusal comes first."""
+    levels = [(c, g) for c in range(1, cap + 1) for g in enumerate_graphs(c + 1, c)]
+    catalog = [(c, g.support_size(), g.edge_list()) for c, g in levels if connected_on_support(g)]
+    out: dict[int, list[Graph]] = {m: [] for m in range(1, cap + 1)}
 
-def _assemble(parts: tuple[Graph, ...]) -> Graph:
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for p in parts:
-        edges.extend((i + offset, j + offset) for i, j in p.edge_list())
-        offset += p.support_size()
-    return make_graph(offset, edges)
-
-
-@lru_cache(maxsize=None)
-def _edge_count_classes(m: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class with exactly m edges.
-
-    Built as multisets of connected classes, so supports up to 2m are covered
-    even though direct enumeration stops at 9 ambient vertices.
-    """
-    catalog = [(c, rep) for c in range(1, m + 1) for rep in _connected_classes(c)]
-    out: list[Graph] = []
-
-    def grow(start: int, remaining: int, chosen: list[Graph]) -> None:
-        if remaining == 0:
-            out.append(_assemble(tuple(chosen)))
-            return
+    def grow(start: int, m: int, offset: int, pairs: list[tuple[int, int]]) -> None:
         for idx in range(start, len(catalog)):
-            c, rep = catalog[idx]
-            if c <= remaining:
-                chosen.append(rep)
-                grow(idx, remaining - c, chosen)
-                chosen.pop()
+            c, s, part = catalog[idx]
+            if m + c > cap:
+                return  # the catalog ascends in c
+            joined = pairs + [(i + offset, j + offset) for i, j in part]
+            out[m + c].append(make_graph(offset + s, joined))
+            grow(idx, m + c, offset + s, joined)
 
-    grow(0, m, [])
-    return tuple(out)
+    grow(0, 0, 0, [])
+    return out

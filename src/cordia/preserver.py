@@ -63,6 +63,7 @@ from .graphs import (
     Graph,
     _edge_variable,
     _map_slots,
+    _permutation,
     _require_int,
     _vertex_edge_map,
     edge_index,
@@ -160,9 +161,8 @@ def identity_operator(n: int) -> LinearOperator:
 
 def vertex_permutation_operator(perm: tuple[int, ...]) -> LinearOperator:
     """The operator induced by relabeling vertices through perm."""
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("perm is not a permutation of the vertex set")
-    return _operator_from_edge_map(len(perm), _vertex_edge_map(tuple(perm)))
+    perm = _permutation(perm, len(perm))
+    return _operator_from_edge_map(len(perm), _vertex_edge_map(perm))
 
 
 def _edge_bijection(op: LinearOperator) -> tuple[int, ...] | None:

@@ -40,7 +40,9 @@ oracle adds every absent edge to every representative of the level below,
 the loop that one edge per pair of twin classes replaced.  The flat-level
 oracle builds every in-budget level of one n from that n's level below
 alone, keying every child that tops the edge invariant, the build that
-support layering replaced.  The
+support layering replaced.  The edge-count class oracle builds the classes
+of one edge count at a time, the per-count build that one pass over every
+count up to a cap replaced.  The
 friendly-table oracle is the Gosper iteration that Pascal's rule replaced;
 ``column_label_bits`` puts the ``_label_columns`` entries on a mask, the
 friendly sets per support that the membership table read before it looped
@@ -87,14 +89,17 @@ from cordia import (
     Orientation,
     edge_slots,
     enumerate_graphs,
+    make_graph,
     membership_bitmap,
 )
 from cordia.graphs import (
     MAX_VERTICES,
     SUBSET_BUDGET,
+    _adjacency,
     _canonical_key_bits,
     _edge_invariants,
     _extension_slots,
+    _least_bits,
     _tops_edge_invariant,
     _twin_classes,
     canonical_representative,
@@ -604,7 +609,7 @@ def oracle_tuple_least_bits(adj: list[int]) -> int:
 def oracle_tops_edge_invariant(n: int, bits: int, k: int) -> bool:
     """True when edge slot k has the greatest invariant among the graph's
     edges, ties counted, read off every edge's full invariant."""
-    inv = _edge_invariants(n, bits)
+    inv = _edge_invariants(_adjacency(n, bits), bits)
     return inv[k] == max(inv.values())
 
 
@@ -630,17 +635,43 @@ def oracle_extend_level(n: int, m: int) -> tuple[Graph, ...]:
     return tuple(canonical_representative(key, n) for key in sorted(keys))
 
 
+def oracle_edge_count_classes(m: int) -> list[Graph]:
+    """The classes with exactly m edges: every multiset of connected classes
+    of enumerate_graphs(c + 1, c), c <= m, whose edge counts sum to m, its
+    parts in catalog order and joined side by side by one make_graph call."""
+    catalog = [
+        (c, g) for c in range(1, m + 1) for g in enumerate_graphs(c + 1, c) if oracle_connected_on_support(g)
+    ]
+    out = []
+
+    def grow(start: int, remaining: int, chosen: list[Graph]) -> None:
+        if remaining == 0:
+            edges, offset = [], 0
+            for part in chosen:
+                edges.extend((i + offset, j + offset) for i, j in part.edge_list())
+                offset += part.support_size()
+            out.append(make_graph(offset, edges))
+            return
+        for idx in range(start, len(catalog)):
+            c, g = catalog[idx]
+            if c <= remaining:
+                grow(idx, remaining - c, chosen + [g])
+
+    grow(0, m, [])
+    return out
+
+
 def count_key_calls(monkeypatch) -> list[int]:
-    """A one-item list that counts ``_canonical_key_bits`` calls from now on,
-    from graphs.py and extremal.py alike."""
+    """A one-item list that counts key searches (``_least_bits`` calls) from
+    now on: ``_canonical_key_bits`` runs one per nonempty graph, and
+    ``enumerate_graphs`` one per child it keys."""
     calls = [0]
 
-    def counted(n, bits):
+    def counted(adj):
         calls[0] += 1
-        return _canonical_key_bits(n, bits)
+        return _least_bits(adj)
 
-    monkeypatch.setattr("cordia.graphs._canonical_key_bits", counted)
-    monkeypatch.setattr("cordia.extremal._canonical_key_bits", counted)
+    monkeypatch.setattr("cordia.graphs._least_bits", counted)
     return calls
 
 
@@ -657,7 +688,7 @@ def oracle_flat_levels(n: int) -> dict[int, tuple[Graph, ...]]:
             _canonical_key_bits(n, g.edges | 1 << k)
             for g in levels[m - 1]
             for k in _extension_slots(g)
-            if _tops_edge_invariant(n, g.edges | 1 << k, k)
+            if _tops_edge_invariant(_adjacency(n, g.edges | 1 << k), g.edges | 1 << k, k)
         }
         levels[m] = tuple(canonical_representative(key, n) for key in sorted(keys))
         m += 1

@@ -42,7 +42,7 @@ from cordia import (
     strongly_preserves,
     to_graph6,
 )
-from cordia.graphs import _edge_count_classes, pair_table
+from cordia.graphs import _classes_by_edge_count, pair_table
 from cordia.preserver import confirmed_failures, is_vertex_permutation
 
 from conftest import (
@@ -74,7 +74,7 @@ def test_criterion_01_smallest_non_sum_cordial():
         and brute_isomorphic(rows[0][1], make_graph(4, [(0, 1), (2, 3)]))
     )
     single_edge_ok = has_property(edge_graph(2, (0, 1)), SUM)
-    three_edge_classes = _edge_count_classes(3)
+    three_edge_classes = _classes_by_edge_count(3)[3]
     three_edge_ok = len(three_edge_classes) == 5 and all(
         has_property(g, SUM) for g in three_edge_classes
     )
@@ -128,7 +128,7 @@ def test_criterion_04_smallest_product_failures_as_stated():
     t = time.perf_counter()
     rows = minimal_noncordial(PRODUCT, 4)
     nothing_smaller = all(m == 4 for m, _ in rows) and all(
-        brute_product_cordial(g) for m in range(1, 4) for g in _edge_count_classes(m)
+        brute_product_cordial(g) for m in range(1, 4) for g in _classes_by_edge_count(m)[m]
     )
     four_cycle = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     triangle_pendant = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -176,7 +176,7 @@ def test_criterion_05_product_bound_adjudication():
 
 def test_criterion_06_three_edge_orientability_classification():
     t = time.perf_counter()
-    classes = _edge_count_classes(3)
+    classes = _classes_by_edge_count(3)[3]
     orientable = [g for g in classes if has_property(g, ORIENT)]
     exceptions = [g for g in classes if not has_property(g, ORIENT)]
     three_matching = make_graph(6, [(0, 1), (2, 3), (4, 5)])

@@ -26,7 +26,7 @@ from cordia import (
     survey,
     to_graph6,
 )
-from cordia.graphs import _connected_classes, _edge_count_classes
+from cordia.graphs import _classes_by_edge_count
 
 from conftest import (
     brute_23_orientable,
@@ -36,6 +36,7 @@ from conftest import (
     brute_sum_cordial,
     count_key_calls,
     oracle_23_orientable,
+    oracle_edge_count_classes,
     oracle_empirical_max,
 )
 
@@ -269,8 +270,6 @@ def test_survey_key_calls(monkeypatch):
     # every level keyed its classes on fewer than n vertices again.
     calls = count_key_calls(monkeypatch)
     enumerate_graphs.cache_clear()
-    _connected_classes.cache_clear()
-    _edge_count_classes.cache_clear()
     cells = {
         GraphProperty.SUM: range(4, 9),
         GraphProperty.PRODUCT: range(4, 8),
@@ -282,6 +281,29 @@ def test_survey_key_calls(monkeypatch):
     for prop in cells:
         minimal_noncordial(prop, 6)
     assert calls[0] == 411
+
+
+def test_clearing_the_level_cache_leaves_the_next_class_question_cold(monkeypatch):
+    # enumerate_graphs holds the only class cache: the classes per edge count
+    # are rebuilt from its levels on every call, so once it is cleared the
+    # next minimal_noncordial keys every connected class again.  While the
+    # class builders kept caches of their own it made 0 key searches.
+    minimal_noncordial(GraphProperty.SUM, 6)
+    calls = count_key_calls(monkeypatch)
+    enumerate_graphs.cache_clear()
+    minimal_noncordial(GraphProperty.SUM, 6)
+    assert calls[0] == 107
+
+
+def test_one_pass_matches_the_per_count_build_at_every_cap():
+    # Every cap lists the classes of each m <= cap as the build of m alone
+    # does: the same graphs in the same order.
+    per_count = {m: oracle_edge_count_classes(m) for m in range(1, 7)}
+    for cap in range(1, 7):
+        classes = _classes_by_edge_count(cap)
+        assert sorted(classes) == list(range(1, cap + 1))
+        for m, reps in classes.items():
+            assert reps == per_count[m], (cap, m)
 
 
 # ------------------------------------------------------- complete-graph facts
@@ -339,14 +361,14 @@ ORIENT_FAILING = [
 
 def test_edge_count_class_counts_frozen():
     for m, count in CLASS_COUNTS.items():
-        assert len(_edge_count_classes(m)) == count
+        assert len(_classes_by_edge_count(m)[m]) == count
 
 
 @pytest.mark.parametrize("m,ambient", [(3, 6), (4, 8)])
 def test_class_assembly_matches_direct_enumeration(m, ambient):
     # Independent route: enumerate all m-edge graphs on 2m ambient vertices.
     via_enum = {canonical_form(g) for g in enumerate_graphs(ambient, m)}
-    via_assembly = {canonical_form(g) for g in _edge_count_classes(m)}
+    via_assembly = {canonical_form(g) for g in _classes_by_edge_count(m)[m]}
     assert via_enum == via_assembly
 
 
@@ -368,7 +390,7 @@ def test_class_assembly_matches_enumeration_at_five_edges():
     ]
     for g in high_support:
         via_enum.add(canonical_form(g))
-    via_assembly = {canonical_form(g) for g in _edge_count_classes(5)}
+    via_assembly = {canonical_form(g) for g in _classes_by_edge_count(5)[5]}
     assert via_enum == via_assembly
 
 
@@ -452,12 +474,11 @@ def test_a_size_that_is_not_an_int_is_a_value_error(monkeypatch, entry, bad, war
             pass  # below a closed form's domain
     else:
         enumerate_graphs.cache_clear()
-        _edge_count_classes.cache_clear()
 
     def refuse(*args):
         raise AssertionError("work began before the size was checked")
 
-    for helper in ("_decide_bits", "_edge_count_classes", "enumerate_graphs", "_check_level"):
+    for helper in ("_decide_bits", "_classes_by_edge_count", "enumerate_graphs", "_check_level"):
         monkeypatch.setattr(extremal_module, helper, refuse)
     with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
         call(bad)

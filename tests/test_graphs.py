@@ -86,6 +86,14 @@ def test_edge_index_matches_pair_table():
             assert edge_index(n, j, i) == k
 
 
+@pytest.mark.parametrize("i, j", [(1, 1), (0, 7), (7, 0), (-1, 2), (0, 4)])
+def test_edge_index_refuses_a_pair_that_names_no_slot(i, j):
+    # (1, 1) once answered 2, the slot of (0, 3); (0, 7) answered 6, past
+    # the last slot; (-1, 2) answered -2.
+    with pytest.raises(ValueError, match=r"names no edge slot for n=4$"):
+        edge_index(4, i, j)
+
+
 def test_edge_slots_and_iter_bits():
     assert [edge_slots(n) for n in range(1, 6)] == [0, 1, 3, 6, 10]
     assert list(iter_bits(0b101001)) == [0, 3, 5]
@@ -154,6 +162,21 @@ def test_relabel_roundtrip():
     inverse = tuple(perm.index(v) for v in range(4))
     assert relabel(h, inverse) == g
     assert h.edge_count == g.edge_count
+
+
+@pytest.mark.parametrize("perm", [(True, False, 2), (0, 1, 2.0), (1.0, 0, 2)], ids=repr)
+def test_relabel_refuses_a_perm_entry_that_is_not_an_int(perm):
+    # (True, False, 2) once answered as (1, 0, 2), and (0, 1, 2.0) raised
+    # TypeError deep in the slot map.
+    bad = next(v for v in perm if type(v) is not int)
+    with pytest.raises(ValueError, match=f"^perm entry must be an int, got {bad!r}$"):
+        relabel(named("2-star"), perm)
+
+
+@pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1), (0, 1, 3), (1, 2, 3)])
+def test_relabel_refuses_a_non_permutation(perm):
+    with pytest.raises(ValueError, match="^perm is not a permutation of the vertex set$"):
+        relabel(named("2-star"), perm)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16])
@@ -538,8 +561,9 @@ def test_edge_invariants_are_kept_by_relabeling(n):
             g = Graph(n, sum(1 << k for k in range(edge_slots(n)) if rng.random() < density))
             perm = list(range(n))
             rng.shuffle(perm)
-            image = _edge_invariants(n, relabel(g, tuple(perm)).edges)
-            inv = _edge_invariants(n, g.edges)
+            h = relabel(g, tuple(perm))
+            image = _edge_invariants(_adjacency(n, h.edges), h.edges)
+            inv = _edge_invariants(_adjacency(n, g.edges), g.edges)
             assert sorted(inv) == list(iter_bits(g.edges))
             for k, (i, j) in enumerate(pt):
                 if g.edges >> k & 1:
@@ -554,7 +578,8 @@ def test_tops_edge_invariant_matches_full_invariant_oracle(n):
         for g in enumerate_graphs(n, m - 1):
             for k in _extension_slots(g):
                 child = g.edges | 1 << k
-                assert _tops_edge_invariant(n, child, k) == oracle_tops_edge_invariant(n, child, k), (g, k)
+                got = _tops_edge_invariant(_adjacency(n, child), child, k)
+                assert got == oracle_tops_edge_invariant(n, child, k), (g, k)
 
 
 def _in_budget_levels(n: int) -> list[int]:

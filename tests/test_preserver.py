@@ -140,6 +140,17 @@ def test_vertex_permutation_round_trip():
             assert apply(op, g) == relabel(g, perm) == oracle_relabel(g, perm)
 
 
+@pytest.mark.parametrize("perm", [(0, 1, 2.0), (True, False, 2)], ids=repr)
+def test_vertex_permutation_operator_refuses_a_perm_entry_that_is_not_an_int(perm):
+    # (0, 1, 2.0) once raised TypeError from the slot map, and (True, False,
+    # 2) was built as (1, 0, 2).
+    bad = next(v for v in perm if type(v) is not int)
+    with pytest.raises(ValueError, match=f"^perm entry must be an int, got {bad!r}$"):
+        vertex_permutation_operator(perm)
+    with pytest.raises(ValueError, match="^perm is not a permutation of the vertex set$"):
+        vertex_permutation_operator((0, 2, 2))
+
+
 def test_is_vertex_permutation_rejects_non_permutations():
     assert is_vertex_permutation(collapse_operator(4)) is None
     # a single edge mapping to a two-edge image disqualifies immediately
