@@ -4,7 +4,9 @@ Closed-form edge bounds as stated for each property, an exhaustive empirical
 maximum read off the isomorphism classes of each edge-count level (every
 level above the answer is certified failing), and the minimal failing
 isomorphism classes per edge count, both deciding classes from graphs.py and
-refused only by its enumeration limits.  Two of the stated bounds are not
+refused only by its enumeration limits.  Above half the slots a level's
+classes come unkeyed from graphs.py (``_complements``), so only the ones
+that pass are keyed.  Two of the stated bounds are not
 upper bounds: the empirical product maximum exceeds the stated product bound
 by one at every n in 4..7, and the orientability maximum exceeds the closed
 form by one at n=7, 8 and 9 (see bound_23_orientable).  Every entry point
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, _canonical_key_bits, _check_level, _classes_by_edge_count, _require_int
+from .graphs import Graph, _canonical_key_bits, _classes_by_edge_count, _complements, _require_int
 from .graphs import canonical_representative, edge_slots, enumerate_graphs
 from .labeling import GraphProperty, _decide_bits, _require_property
 
@@ -121,20 +123,13 @@ def _least_passing_class(prop: GraphProperty, n: int, m: int) -> Graph | None:
 
     At most half the slots, enumerate_graphs returns the level sorted by
     key, so the first satisfying class is the least.  Above half, the
-    classes are the complements of level C(n, 2) - m; each complement is
-    decided first and only the satisfying ones are keyed, so a failing
-    level keys nothing.
+    classes are graphs.py's unkeyed complements (``_complements``, which
+    refuses the level under its own name); each is decided first and only
+    the satisfying ones are keyed, so a failing level keys nothing.
     """
-    slots = edge_slots(n)
-    if 2 * m <= slots:
+    if 2 * m <= edge_slots(n):
         return next((g for g in enumerate_graphs(n, m) if _decide_bits(n, g.edges, prop)), None)
-    _check_level(n, m)
-    full = (1 << slots) - 1
-    keys = [
-        _canonical_key_bits(n, bits)
-        for bits in (full ^ g.edges for g in enumerate_graphs(n, slots - m))
-        if _decide_bits(n, bits, prop)
-    ]
+    keys = [_canonical_key_bits(n, bits) for bits in _complements(n, m) if _decide_bits(n, bits, prop)]
     return canonical_representative(min(keys), n) if keys else None
 
 

@@ -15,9 +15,8 @@ is available while that support is small (at most 10 vertices).
 
 Isomorphism classes are enumerated level by level, and each level in
 support layers.  The classes of level (n, m) on fewer than n support
-vertices are exactly level (n - 1, m), whose representatives already carry
-their keys (a representative's support is packed at 0..s-1, so its edges
-re-indexed onto the support's own slots are its key's bits).  Only the
+vertices are exactly level (n - 1, m), whose representatives (support
+packed at 0..s-1) keep their pairs on n vertices.  Only the
 classes on all n vertices are searched for: each comes from a class of
 level (n, m - 1) plus one absent edge, and one edge covers at most two new
 vertices, so a parent on fewer than n - 2 support vertices is skipped.
@@ -31,7 +30,9 @@ that key, so most children are settled before the rest of it is built.
 These are the cheap parts of canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 1998): twin classes stand in for
 automorphism orbits, and the canonical-deletion test runs without its
-orbit step.
+orbit step.  A class on all n vertices is the graph of its least bitset,
+so neither layer makes a key to read it back.  Above half the slots a
+level is the complements of one below half (``_complements``).
 
 The classes of each edge count up to a cap, on any support, are built in
 one uncached pass over multisets of connected classes
@@ -73,7 +74,12 @@ def edge_slots(n: int) -> int:
 
 
 def edge_index(n: int, i: int, j: int) -> int:
-    """Bit position of the pair (i, j) in pair_table(n); a ValueError if it names none."""
+    """Bit position of the pair (i, j) in pair_table(n); a ValueError if it
+    names none, or if n or a vertex is not an int (a bool included)."""
+    if type(n) is not int or type(i) is not int or type(j) is not int:
+        _require_int("vertex count", n)
+        _require_int("vertex", i)
+        _require_int("vertex", j)
     if i > j:
         i, j = j, i
     if not 0 <= i < j < n:
@@ -192,15 +198,13 @@ class Graph:
 
 
 def make_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from vertex pairs; duplicates collapse, loops are rejected."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
+    """Build a graph from vertex pairs; duplicates collapse, and a loop, a
+    vertex out of range or one that is not an int is refused by edge_index."""
+    if type(n) is not int or not 1 <= n <= MAX_VERTICES:
+        _require_int("vertex count", n)
         raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n!r}")
     bits = 0
     for i, j in edge_list:
-        if i == j:
-            raise ValueError(f"loop ({i}, {j}) is not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"vertex pair ({i}, {j}) out of range for n={n}")
         bits |= 1 << edge_index(n, i, j)
     return Graph(n, bits)
 
@@ -380,10 +384,15 @@ def canonical_form(g: Graph) -> CanonicalKey:
 def canonical_representative(key: CanonicalKey, n: int) -> Graph:
     """The graph on n vertices whose support is packed at 0..support-1 with the key's bitset.
 
-    A key whose parts disagree is a ValueError: a negative support, bits
-    outside the C(support, 2) slots of its support, bits that leave a support
-    vertex isolated, or an edge count other than the bitset's."""
+    An n or key part that is not an int (a bool included) is a ValueError, and
+    so is a key whose parts disagree: a negative support, bits outside the
+    C(support, 2) slots of its support, bits that leave a support vertex
+    isolated, or an edge count other than the bitset's."""
     support, m, bits = key
+    _require_int("vertex count", n)
+    _require_int("key support", support)
+    _require_int("key edge count", m)
+    _require_int("key bits", bits)
     if support < 0:
         raise ValueError(f"key support must be non-negative, got {support}")
     if support > n:
@@ -489,21 +498,24 @@ def _check_level(n: int, m: int) -> None:
         raise BudgetError(f"level (n={n}, m={m}) has {subsets} subsets; budget is {SUBSET_BUDGET}")
 
 
-def _representative_key(g: Graph) -> CanonicalKey:
-    """The key of an enumerated representative, read off without a search:
-    its support is packed at 0..s-1 with the key's bitset, so its edges
-    re-indexed onto pair_table(s) are the key's bits."""
-    s = g.support_size()
-    return CanonicalKey(s, g.edge_count, sum(1 << edge_index(s, i, j) for i, j in g.edge_list()))
+def _complements(n: int, m: int) -> list[int]:
+    """Level (n, m) as edge bitsets, one per class, unkeyed: the complements
+    of level (n, C(n, 2) - m)'s representatives.  Used above half the slots,
+    where that level is the smaller; (n, m) is refused under its own name
+    before the other level is read."""
+    _check_level(n, m)
+    full = (1 << edge_slots(n)) - 1
+    return [full ^ g.edges for g in enumerate_graphs(n, edge_slots(n) - m)]
 
 
-def _covering_child_keys(g: Graph) -> Iterator[CanonicalKey]:
-    """The keys of g's children on ``_extension_slots(g)`` that cover all g.n
-    vertices and whose new edge tops the edge invariant.  g's support is
-    packed at 0..s-1 and one edge covers at most two new vertices, so a g
-    with s < n - 2 has none and is skipped before its twin classes are
-    built.  A child's one adjacency serves the test and the key search: its
-    support is all n vertices, so its key is its own least bits."""
+def _covering_child_bits(g: Graph) -> Iterator[int]:
+    """The least bitsets of g's children on ``_extension_slots(g)`` that
+    cover all g.n vertices and whose new edge tops the edge invariant.  g's
+    support is packed at 0..s-1 and one edge covers at most two new
+    vertices, so a g with s < n - 2 has none and is skipped before its twin
+    classes are built.  A child's one adjacency serves the test and the key
+    search: its support is all n vertices, so its least bits are its key's
+    bits and its representative's edges."""
     n, s = g.n, g.support_size()
     if s < n - 2:
         return
@@ -513,7 +525,7 @@ def _covering_child_keys(g: Graph) -> Iterator[CanonicalKey]:
             bits = g.edges | 1 << k
             adj = _adjacency(n, bits)
             if _tops_edge_invariant(adj, bits, k):
-                yield CanonicalKey(n, bits.bit_count(), _least_bits(adj))
+                yield _least_bits(adj)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -523,12 +535,15 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     Classes are counted up to isomorphism after dropping isolated vertices, and
     representatives come back sorted by canonical key, each with its support
     packed at 0..s-1.  A level above half the edge slots is the complements
-    of level C(n, 2) - m.  A level (n, m) at most half is two disjoint sets:
-    the classes on at most n - 1 support vertices, which are exactly level
-    (n - 1, m) when m <= C(n - 1, 2) and none otherwise, their keys read off
-    its cached representatives with no search (``_representative_key``);
-    and the classes on all n vertices, keyed from level m - 1.  Level
-    (n - 1, m) is within the budget whenever (n, m) is, since
+    of level C(n, 2) - m (``_complements``), each keyed and rebuilt from its
+    key.  A level (n, m) at most half is two disjoint sets, built directly
+    as representatives: the classes on at most n - 1 support vertices, which
+    are exactly level (n - 1, m) when m <= C(n - 1, 2) and none otherwise,
+    its representatives re-embedded on n vertices with the same pairs; and
+    the classes on all n vertices, found from level m - 1, each the graph of
+    its least bitset.  Those all have support n and m edges, so they sort by
+    key as they sort by bits, and every one follows the lower classes.
+    Level (n - 1, m) is within the budget whenever (n, m) is, since
     C(C(n - 1, 2), m) <= C(C(n, 2), m) for m <= C(n, 2) / 2.
 
     The classes on all n vertices are built by adding to each representative
@@ -537,7 +552,7 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     parent on fewer than n - 2 support vertices has none), and keying the
     child only when its new edge has the greatest edge invariant among its
     edges (``_edge_invariants``; ties are keyed), both on one adjacency per
-    child (``_covering_child_keys``).
+    child (``_covering_child_bits``).
 
     Every class G on all n vertices is still keyed.  Take an edge e* of G
     with the greatest invariant.  G - e* is isomorphic to some
@@ -551,21 +566,18 @@ def enumerate_graphs(n: int, m: int) -> tuple[Graph, ...]:
     greatest invariant in R + e', and R + e' is keyed.  This is the
     canonical-deletion test of canonical augmentation (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 1998) without its orbit step:
-    some classes are still keyed from several parents, and the key set
-    removes the repeats.
+    some classes are still keyed from several parents, and the set of
+    least bitsets removes the repeats.
     """
     _check_level(n, m)
-    slots = edge_slots(n)
-    mm = min(m, slots - m)
+    if 2 * m > edge_slots(n):
+        keys = sorted({_canonical_key_bits(n, bits) for bits in _complements(n, m)})
+        return tuple(canonical_representative(key, n) for key in keys)
     if m == 0:
-        keys = [CanonicalKey(0, 0, 0)]
-    elif mm != m:
-        full = (1 << slots) - 1
-        keys = sorted({_canonical_key_bits(n, full ^ g.edges) for g in enumerate_graphs(n, mm)})
-    else:
-        lower = [_representative_key(g) for g in enumerate_graphs(n - 1, m)] if m <= edge_slots(n - 1) else []
-        keys = lower + sorted({key for g in enumerate_graphs(n, m - 1) for key in _covering_child_keys(g)})
-    return tuple(canonical_representative(key, n) for key in keys)
+        return (Graph(n, 0),)
+    lower = [make_graph(n, g.edge_list()) for g in enumerate_graphs(n - 1, m)] if m <= edge_slots(n - 1) else []
+    covering = sorted({bits for g in enumerate_graphs(n, m - 1) for bits in _covering_child_bits(g)})
+    return tuple(lower + [Graph(n, bits) for bits in covering])
 
 
 def connected_on_support(g: Graph) -> bool:

@@ -28,14 +28,15 @@ and swaps two variables of the table with one delta swap (Knuth, TAOCP 4A,
   refused first.
 - Vertex-only search runs every vertex map through the table check.
 
-Sample mode keeps its own scan, since nearly every sampled bijection fails
+Sample mode runs its own scan, since nearly every sampled bijection fails
 on one of the first graphs it checks.  A bijection keeps edge counts, so only
 edge-count levels of mixed membership can show a mismatch, and one that maps
 every non-member of a level to a non-member maps the level's non-members
-onto themselves, so its members onto members too.  So ``_SampleScan`` lists
-only each mixed level's non-members with their slots, and builds a level the
-first time a draw reaches it; a failure records the first non-member, in
-that order, that a draw maps to a member.  Membership is
+onto themselves, so its members onto members too.  So each search lists
+only each mixed level's non-members with their slots (``_scan_entries``),
+building a level the first time a draw reaches it and keeping nothing
+after; a failure records the first non-member, in that order, that a draw
+maps to a member.  Membership is
 isomorphism-invariant, so a vertex map passes every level; vertex maps are
 looked for only among the survivors, and their slot maps are built only when
 something survives.  The
@@ -302,51 +303,16 @@ def strongly_preserves(op: LinearOperator, prop: GraphProperty) -> PreserverVerd
     return PreserverVerdict(True, None)
 
 
-class _SampleScan:
-    """Sample mode's scan of one membership table.
-
-    flags[g] is "1" iff graph g is a member.  levels[k] lists the
-    non-members of the k-th edge-count level of mixed membership as (graph,
-    slots) entries; ``grow`` builds it the first time a draw reaches it, and
-    the first one is built with the scan, since every draw reaches it.  A
-    bijection keeps edge counts, so no graph on a uniform level can change
-    membership under one, and on a mixed level it keeps every member exactly
-    when it keeps every non-member: the first mismatch is a non-member.  A
-    level's non-members are E_m & ~bm over its table E_m from
-    ``_level_tables``."""
-
-    def __init__(self, n: int, prop: GraphProperty) -> None:
-        slots = edge_slots(n)
-        bm = membership_bitmap(n, prop)
-        self.flags = _flags(bm, slots)
-        self._non_members = [level & ~bm for level in _mixed_levels(bm, slots)]
-        self.levels: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
-        self.grow()  # every draw reaches the first mixed level
-
-    def grow(self) -> bool:
-        """Build the next mixed level's entries; False when none is left."""
-        k = len(self.levels)
-        if k == len(self._non_members):
-            return False
-        order = _set_positions(self._non_members[k])
-        self.levels.append(tuple((g, tuple(iter_bits(g))) for g in order))
-        return True
-
-
-@lru_cache(maxsize=None)
-def _sample_scan(n: int, prop: GraphProperty) -> _SampleScan:
-    return _SampleScan(n, prop)
-
-
-def _set_positions(table: int) -> list[int]:
-    """Set bit positions of a truth table, ascending, found by str.find."""
+def _scan_entries(table: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Sample mode's entries for one level: each graph g of the truth table,
+    ascending and found by str.find, as (g, its set slots)."""
     text = format(table, "b")[::-1]
     out = []
     g = text.find("1")
     while g >= 0:
-        out.append(g)
+        out.append((g, tuple(iter_bits(g))))
         g = text.find("1", g + 1)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -464,17 +430,22 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
         raise BudgetError(
             f"sample count {count} requested; sample mode draws at most {SAMPLE_COUNT_BUDGET}"
         )
-    scan = _sample_scan(n, prop)
-    flags, levels = scan.flags, scan.levels
+    slots = edge_slots(n)
+    bm = membership_bitmap(n, prop)
+    flags = _flags(bm, slots)
+    # Each mixed level's non-members, E_m & ~bm; every draw reaches the
+    # first level, so only its entries are built before the scan.
+    non_members = [level & ~bm for level in _mixed_levels(bm, slots)]
+    levels = [_scan_entries(table) for table in non_members[:1]]
     graphs: dict[int, Graph] = {}  # each distinct counterexample
     survivors = []
     failures = []
-    for i, pi in enumerate(_sample_draws(edge_slots(n), seed, count)):
+    for i, pi in enumerate(_sample_draws(slots, seed, count)):
         # levels gains its next entry when a draw clears the last one built,
         # and this loop then reads it.
         for entries in levels:
-            for g, slots in entries:
-                if flags[_map_slots(pi, slots)] == "1":
+            for g, g_slots in entries:
+                if flags[_map_slots(pi, g_slots)] == "1":
                     cex = graphs.get(g)
                     if cex is None:
                         cex = graphs[g] = Graph(n, g)
@@ -482,8 +453,8 @@ def _search_sampled(n: int, prop: GraphProperty, count: int, seed: int) -> Searc
                     failures.append(tuple.__new__(SampleFailure, (i, pi, cex)))
                     break
             else:
-                if entries is levels[-1]:
-                    scan.grow()
+                if entries is levels[-1] and len(levels) < len(non_members):
+                    levels.append(_scan_entries(non_members[len(levels)]))
                 continue
             break
         else:
@@ -548,11 +519,11 @@ def search_strong_preservers(
       membership table, survivors in lexicographic order of the vertex
       permutations.
     - "sample" draws `count` seeded random edge bijections and records for
-      every failure the first mismatch in the scan order of
-      ``_SampleScan``, which need not be the least one.  The scan covers
-      only the edge-count levels of mixed membership, the only ones a
-      bijection can change, and builds each level the first time a draw
-      reaches it.  A vertex map passes every level, so the vertex-induced
+      every failure the first mismatch in the scan order (each mixed
+      level's non-members, ascending), which need not be the least one.
+      The scan covers only the edge-count levels of mixed membership, the
+      only ones a bijection can change, and builds each level the first
+      time a draw reaches it, for this search alone.  A vertex map passes every level, so the vertex-induced
       draws are found among the survivors and discarded there.  The draws
       do not depend on the property, so a process keeps the last set for
       the next search with the same n, seed and count.

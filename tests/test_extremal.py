@@ -478,7 +478,7 @@ def test_a_size_that_is_not_an_int_is_a_value_error(monkeypatch, entry, bad, war
     def refuse(*args):
         raise AssertionError("work began before the size was checked")
 
-    for helper in ("_decide_bits", "_classes_by_edge_count", "enumerate_graphs", "_check_level"):
+    for helper in ("_decide_bits", "_classes_by_edge_count", "enumerate_graphs", "_complements"):
         monkeypatch.setattr(extremal_module, helper, refuse)
     with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
         call(bad)

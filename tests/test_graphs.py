@@ -45,7 +45,6 @@ from cordia.graphs import (
     _extension_slots,
     _least_bits,
     _map_slots,
-    _representative_key,
     _tops_edge_invariant,
     _twin_classes,
     _vertex_edge_map,
@@ -94,6 +93,18 @@ def test_edge_index_refuses_a_pair_that_names_no_slot(i, j):
         edge_index(4, i, j)
 
 
+@pytest.mark.parametrize(
+    "n, i, j, name, value",
+    [(4, 0, 2.0, "vertex", 2.0), (4, True, 2, "vertex", True), (4.0, 0, 1, "vertex count", 4.0)],
+    ids=repr,
+)
+def test_edge_index_refuses_a_size_or_vertex_that_is_not_an_int(n, i, j, name, value):
+    # (4, 0, 2.0) once answered 1.0, (4, True, 2) answered 3 and (4.0, 0, 1)
+    # answered 0.0.
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        edge_index(n, i, j)
+
+
 def test_edge_slots_and_iter_bits():
     assert [edge_slots(n) for n in range(1, 6)] == [0, 1, 3, 6, 10]
     assert list(iter_bits(0b101001)) == [0, 3, 5]
@@ -118,6 +129,12 @@ def test_graph_validation():
         make_graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         make_graph(3, [(0, 3)])
+    # (0, 2.0) once raised TypeError from the shift, and (True, 2) built the
+    # edge (1, 2).
+    with pytest.raises(ValueError, match=r"^vertex must be an int, got 2\.0$"):
+        make_graph(4, [(0, 2.0)])
+    with pytest.raises(ValueError, match="^vertex must be an int, got True$"):
+        make_graph(4, [(True, 2)])
     assert make_graph(3, [(0, 1), (1, 0)]).edge_count == 1
 
 
@@ -487,6 +504,14 @@ def test_canonical_representative_refuses_inconsistent_keys():
         canonical_representative(CanonicalKey(1, 0, 0), 4)
     with pytest.raises(ValueError, match="key needs 5 vertices but n=4"):
         canonical_representative(CanonicalKey(5, 4, 15), 4)
+    # (2, True, 1) was once read as edge count 1, and (2, 1, 1.0) raised
+    # TypeError.
+    with pytest.raises(ValueError, match="^key edge count must be an int, got True$"):
+        canonical_representative(CanonicalKey(2, True, 1), 2)
+    with pytest.raises(ValueError, match=r"^key bits must be an int, got 1\.0$"):
+        canonical_representative(CanonicalKey(2, 1, 1.0), 2)
+    with pytest.raises(ValueError, match="^vertex count must be an int, got True$"):
+        canonical_representative(CanonicalKey(2, 1, 1), True)
     assert canonical_representative(CanonicalKey(0, 0, 0), 3) == empty(3)
     assert canonical_representative(CanonicalKey(3, 3, 7), 4) == make_graph(4, [(0, 1), (0, 2), (1, 2)])
 
@@ -616,6 +641,24 @@ def test_cache_clear_leaves_the_next_enumeration_cold(monkeypatch):
     assert calls[0] == 331
 
 
+def test_cold_enumeration_rebuilds_keys_only_above_half_the_slots(monkeypatch):
+    # At most half the slots a level's representatives are built directly;
+    # a cold (8, 6) once rebuilt every one of its classes from its key.
+    real = canonical_representative
+
+    def complements_only(key, n):
+        if 2 * key.edge_count <= edge_slots(n):
+            raise AssertionError(f"key rebuilt at level ({n}, {key.edge_count})")
+        levels.add((n, key.edge_count))
+        return real(key, n)
+
+    levels = set()
+    monkeypatch.setattr("cordia.graphs.canonical_representative", complements_only)
+    enumerate_graphs.cache_clear()
+    assert len(enumerate_graphs(8, 6)) == 56
+    assert sorted(levels) == [(2, 1), (3, 2), (3, 3), (4, 4), (4, 5), (5, 6)]
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_layered_levels_match_flat_levels(n):
     # Every in-budget level: all of them up to n = 7, m <= 6 and m >= 22
@@ -624,7 +667,7 @@ def test_layered_levels_match_flat_levels(n):
     assert sorted(flat) == _in_budget_levels(n)
     for m, level in flat.items():
         assert enumerate_graphs(n, m) == level, (n, m)
-        assert [_representative_key(g) for g in level] == [canonical_form(g) for g in level], (n, m)
+        assert all(canonical_representative(canonical_form(g), n) == g for g in level), (n, m)
 
 
 def test_levels_do_not_depend_on_which_lower_levels_are_cached():

@@ -62,12 +62,12 @@ from cordia.labeling import _count_tables, _level_tables
 from cordia.preserver import (
     SAMPLE_COUNT_BUDGET,
     SampleFailure,
+    _flags,
     _mixed_levels,
     _operator_from_edge_map,
     _pruned_bijections,
     _sample_draws,
-    _sample_scan,
-    _SampleScan,
+    _scan_entries,
     _vertex_edge_maps,
     confirmed_failures,
 )
@@ -733,17 +733,15 @@ def test_sample_failures_share_draws_and_counterexample_graphs():
 
 
 def scan_order(n, prop):
-    """(flags, order) of a fresh scan with every mixed level built, order the
-    concatenated per-level graphs; each entry's slots are checked too."""
-    scan = _SampleScan(n, prop)
-    while scan.grow():
-        pass
+    """(flags, order) of the sample scan with every mixed level built, order
+    the concatenated per-level non-members; each entry's slots are checked too."""
+    bm = membership_bitmap(n, prop)
     order = []
-    for entries in scan.levels:
-        for g, slots in entries:
+    for level in _mixed_levels(bm, edge_slots(n)):
+        for g, slots in _scan_entries(level & ~bm):
             assert slots == tuple(k for k in range(edge_slots(n)) if g >> k & 1)
             order.append(g)
-    return scan.flags, tuple(order)
+    return _flags(bm, edge_slots(n)), tuple(order)
 
 
 @pytest.mark.parametrize("prop", list(GraphProperty), ids=lambda p: p.value)
@@ -791,14 +789,22 @@ def test_sample_search_builds_only_the_levels_its_draws_reach(monkeypatch):
         raise AssertionError(f"vertex maps built at n={n}")
 
     monkeypatch.setattr(preserver_module, "_vertex_edge_maps", no_maps)
-    _sample_scan.cache_clear()
+    built = []
+
+    def scan_entries(table):
+        entries = _scan_entries(table)
+        built.append(len(entries))
+        return entries
+
+    monkeypatch.setattr(preserver_module, "_scan_entries", scan_entries)
     sizes = {}
     for prop in GraphProperty:
+        built.clear()
         report = search_strong_preservers(6, prop, "sample", count=20_000, seed=1)
         assert (len(report.failures), report.discarded_vertex_induced, report.operators) == (
             20_000, 0, ()
         )
-        sizes[prop] = [len(entries) for entries in _sample_scan(6, prop).levels]
+        sizes[prop] = built[:]
     assert sizes == {
         GraphProperty.SUM: [45],
         GraphProperty.PRODUCT: [285],
@@ -828,7 +834,7 @@ def refuse_tables_and_draws(monkeypatch):
     def refuse(*args):
         raise AssertionError("a table or a draw was built")
 
-    for name in ("membership_bitmap", "_sample_scan", "_sample_draws"):
+    for name in ("membership_bitmap", "_scan_entries", "_sample_draws"):
         monkeypatch.setattr(preserver_module, name, refuse)
 
 
